@@ -1,12 +1,11 @@
-//! Criterion benchmarks of the certification cascade at scale: batch,
-//! component-decomposed, and windowed streaming witness checking on long
-//! synthetic histories, plus the saturation-prefiltered search far past the
-//! old 128-op exact frontier.
+//! Criterion benchmarks of certification at scale: batch and windowed
+//! streaming witness checking on long synthetic histories, plus the exact
+//! search far past the old 128-op exact frontier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use regular_core::checker::certificate::WitnessModel;
 use regular_core::checker::models::{check, Model};
-use regular_core::{check_witness, check_witness_decomposed, ComponentSplit};
+use regular_core::{check_witness, ComponentSplit};
 use regular_sweep::{certify_streaming, synthetic_history};
 
 fn bench_checker_scale(c: &mut Criterion) {
@@ -18,11 +17,6 @@ fn bench_checker_scale(c: &mut Criterion) {
         group.bench_function(format!("witness_full_{n}_ops"), |b| {
             b.iter(|| check_witness(&history, &witness, WitnessModel::Regular).unwrap())
         });
-        group.bench_function(format!("witness_decomposed_{n}_ops"), |b| {
-            b.iter(|| {
-                check_witness_decomposed(&history, &witness, WitnessModel::Regular, 1).unwrap()
-            })
-        });
         group.bench_function(format!("witness_streaming_{n}_ops"), |b| {
             b.iter(|| certify_streaming(&history, &witness, WitnessModel::Regular).unwrap())
         });
@@ -31,10 +25,10 @@ fn bench_checker_scale(c: &mut Criterion) {
         });
     }
 
-    // The search-side cascade (saturation + decomposition + guided search)
+    // The exact search (plain search, saturation only as the fallback)
     // *finding* a witness, not just validating one.
     let (search_history, _) = synthetic_history(2_000, 4);
-    group.bench_function("saturated_search_rsc_2000_ops", |b| {
+    group.bench_function("search_rsc_2000_ops", |b| {
         b.iter(|| {
             assert!(check(&search_history, Model::RegularSequentialConsistency).unwrap().satisfied)
         })

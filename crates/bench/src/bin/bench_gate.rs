@@ -24,9 +24,9 @@
 //!
 //! **Checker scale.** With `--checker` (a `BENCH_checker_scale.json` from
 //! `checker_scale`) and `--checker-reference`
-//! (`ci/checker_scale_reference.json`), additionally gates the decomposed
-//! and streaming certification speedups over the full batch check — again a
-//! same-host ratio, so it transfers across machines. Entries without a
+//! (`ci/checker_scale_reference.json`), additionally gates the streaming
+//! certification speedup over the full batch check — again a same-host
+//! ratio, so it transfers across machines. Entries without a
 //! speedup (the baselines) are compared on observables only; `ops` and
 //! `components` drift warns that the reference needs refreshing.
 //!

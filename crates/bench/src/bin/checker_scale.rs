@@ -1,23 +1,20 @@
 //! Checker-scale profile: certification cost on 100k-op histories.
 //!
-//! Measures the three certification paths on a synthetic history with known
+//! Measures the certification paths on a synthetic history with known
 //! component structure (see `regular_sweep::synthetic_history`):
 //!
 //! * `witness_full_100k` — the sequential batch certificate checker over the
-//!   whole history, the baseline every other row is a ratio of.
-//! * `witness_decomposed_100k` — component-decomposed witness checking
-//!   (single-threaded, so the ratio measures the decomposition itself, not
-//!   host parallelism).
+//!   whole history, the baseline the streaming row is a ratio of.
 //! * `streaming_100k` — the windowed streaming checker fed in
 //!   completion-time order through a reorder buffer.
-//! * `saturated_search_2k` — the full search-side cascade (saturation
-//!   prefilter + component decomposition + guided search) *finding* a
-//!   witness for a 2k-op history, far past the old 128-op exact frontier.
+//! * `search_2k` — the exact search (`check`: plain search, saturation only
+//!   as the fallback) *finding* a witness for a 2k-op history, far past the
+//!   old 128-op exact frontier.
 //!
-//! The decomposed and streaming rows carry a `speedup` ratio against
-//! `witness_full_100k` measured in the same process, which transfers across
-//! hosts the way absolute milliseconds do not; `bench_gate --checker` gates
-//! those ratios against `ci/checker_scale_reference.json`.
+//! The streaming row carries a `speedup` ratio against `witness_full_100k`
+//! measured in the same process, which transfers across hosts the way
+//! absolute milliseconds do not; `bench_gate --checker` gates that ratio
+//! against `ci/checker_scale_reference.json`.
 //!
 //! Usage:
 //!
@@ -31,7 +28,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use regular_core::checker::certificate::WitnessModel;
-use regular_core::{check, check_witness, check_witness_decomposed, Model};
+use regular_core::{check, check_witness, Model};
 use regular_sweep::{certify_streaming, synthetic_history, write_json, Json};
 
 /// Wall-clock milliseconds, median of `ROUNDS` interleaved runs per path.
@@ -110,7 +107,6 @@ fn main() -> ExitCode {
 
     let mut peak_window = 0usize;
     let mut full = || check_witness(&history, &witness, model).is_ok();
-    let mut decomposed = || check_witness_decomposed(&history, &witness, model, 1).is_ok();
     let mut streaming = || match certify_streaming(&history, &witness, model) {
         Ok(stats) => {
             peak_window = stats.peak_window;
@@ -125,16 +121,13 @@ fn main() -> ExitCode {
     };
     let times = time_all(&mut [
         ("witness_full", &mut full),
-        ("witness_decomposed", &mut decomposed),
         ("streaming", &mut streaming),
-        ("saturated_search", &mut search),
+        ("search", &mut search),
     ]);
-    let (full_ms, decomposed_ms, streaming_ms, search_ms) =
-        (times[0], times[1], times[2], times[3]);
-    println!("   witness_full       {full_ms:>9.2} ms");
-    println!("   witness_decomposed {decomposed_ms:>9.2} ms ({:.2}x)", full_ms / decomposed_ms);
-    println!("   streaming          {streaming_ms:>9.2} ms ({:.2}x)", full_ms / streaming_ms);
-    println!("   saturated_search   {search_ms:>9.2} ms ({search_ops} ops)");
+    let (full_ms, streaming_ms, search_ms) = (times[0], times[1], times[2]);
+    println!("   witness_full   {full_ms:>9.2} ms");
+    println!("   streaming      {streaming_ms:>9.2} ms ({:.2}x)", full_ms / streaming_ms);
+    println!("   search         {search_ms:>9.2} ms ({search_ops} ops)");
 
     let report = Json::Obj(
         vec![
@@ -145,20 +138,13 @@ fn main() -> ExitCode {
                 Json::Arr(vec![
                     entry("witness_full_100k", ops, groups, full_ms, None),
                     entry(
-                        "witness_decomposed_100k",
-                        ops,
-                        groups,
-                        decomposed_ms,
-                        Some(full_ms / decomposed_ms),
-                    ),
-                    entry(
                         "streaming_100k",
                         ops,
                         groups,
                         streaming_ms,
                         Some(full_ms / streaming_ms),
                     ),
-                    entry("saturated_search_2k", search_ops, groups.min(4), search_ms, None),
+                    entry("search_2k", search_ops, groups.min(4), search_ms, None),
                 ]),
             ),
         ]

@@ -1,47 +1,18 @@
-//! Communication-component decomposition: stage 2 of the certification
-//! cascade.
+//! Communication components of a history.
 //!
-//! Two operations must be ordered *relative to each other* by a checker only
-//! if some chain of constraints connects them. [`ComponentSplit`] computes
-//! the connected components of the communication graph — union-find over
-//! shared `(service, key)` accesses, process membership, and message /
-//! external-communication endpoints (fences and causal-context handoffs ride
-//! along through their process) — so certification runs per component:
-//!
-//! * **Search** ([`find_sequence_decomposed`]): each component is searched
-//!   independently (through the saturation prefilter of
-//!   [`crate::checker::saturate`](mod@crate::checker::saturate)); per-component
-//!   witnesses are then merged
-//!   into one global witness. Since components share no keys, the merged
-//!   sequence replays exactly as the components did; the only global
-//!   constraints a model imposes *across* components are real-time edges,
-//!   which [`CrossEdges`] characterizes per model and the merge enforces by
-//!   interleaving on invocation/response times. If the greedy merge cannot
-//!   honor them (per-component witnesses over-committed an internal order),
-//!   the checker falls back to the whole-history search, so the verdict is
-//!   always exact.
-//! * **Witness checking** ([`check_witness_decomposed`]): a certificate for a
-//!   large history is validated per component on scoped threads — membership
-//!   globally, then each component's sub-history/sub-witness through
-//!   [`check_witness`], plus the one truly global constraint (the RSS/RSC
-//!   write-write real-time sweep) checked directly on the full witness.
-//!
-//! The decomposition is sound in both directions: a violation inside a
-//! component is a violation of the whole history (the component's ops are
-//! constrained only among themselves plus cross real-time edges, which the
-//! merge/global sweep handles), and per-component witnesses concatenate into
-//! a legal global witness because components are key-disjoint.
+//! Two operations can constrain each other only if some chain of shared
+//! processes, shared `(service, key)` accesses, or messages connects them.
+//! [`ComponentSplit`] computes those connected components — union-find over
+//! shared keys, process membership, and message / external-communication
+//! endpoints (fences and causal-context handoffs ride along through their
+//! process). The sweep, the streaming certifier, and the benchmarks report
+//! the component count as a structural observable of a run; no checker
+//! splits its work on it.
 
 use std::collections::HashMap;
 
-use crate::checker::certificate::{check_witness, check_witness_parallel, OrderKind};
-use crate::checker::models::Model;
-use crate::checker::saturate::find_sequence_saturated;
-use crate::checker::search::{Constraints, SearchError};
-use crate::checker::{WitnessModel, WitnessViolation};
 use crate::hashing::FxBuildHasher;
-use crate::history::{History, HistoryIndex};
-use crate::spec::SpecViolation;
+use crate::history::History;
 use crate::types::OpId;
 
 /// Union-find with path halving; elements are op ids.
@@ -151,383 +122,12 @@ impl ComponentSplit {
     }
 }
 
-/// Which real-time edges a model imposes *across* components.
-///
-/// Every other constraint family is intra-component by construction: process
-/// order stays inside one process (one component), reads-from and per-key
-/// conflicts share a key, and message edges connect processes the split
-/// unioned. Real-time edges are the exception — they hold between concurrent
-/// processes that never communicate — and each model draws them between a
-/// specific source/target class:
-///
-/// | variant | source (must respond) | target | model |
-/// |---|---|---|---|
-/// | `None` | — | — | PO ser. / SC / CRDB (CRDB's real-time edges require a shared key) |
-/// | `AllPairs` | any complete | any | strict ser. / linearizability |
-/// | `WriteWrite` | complete mutating | mutating | RSS / RSC (cross-component conflicting reads can't exist) |
-/// | `CompleteToWrite` | any complete | mutating | OSC(U) |
-/// | `WriteToAll` | complete mutating | any | VV regularity |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossEdges {
-    /// No cross-component constraints: concatenation is a legal merge.
-    None,
-    /// `resp(a) < inv(b)` constrains every pair.
-    AllPairs,
-    /// Completed mutating ops precede mutating ops they really precede.
-    WriteWrite,
-    /// Every completed op precedes mutating ops it really precedes.
-    CompleteToWrite,
-    /// Completed mutating ops precede every op they really precede.
-    WriteToAll,
-}
-
-impl CrossEdges {
-    /// The cross-component edge class of a search [`Model`].
-    pub fn for_model(model: Model) -> CrossEdges {
-        match model {
-            Model::StrictSerializability | Model::Linearizability => CrossEdges::AllPairs,
-            Model::RegularSequentialSerializability | Model::RegularSequentialConsistency => {
-                CrossEdges::WriteWrite
-            }
-            Model::ProcessOrderedSerializability | Model::SequentialConsistency => CrossEdges::None,
-        }
-    }
-
-    /// True if `op` can be the source of a cross-component edge (sources must
-    /// have responded — real-time edges need a response instant).
-    #[inline]
-    fn is_source(self, index: &HistoryIndex, op: usize) -> bool {
-        if index.response_us(op).is_none() {
-            return false;
-        }
-        match self {
-            CrossEdges::None => false,
-            CrossEdges::AllPairs | CrossEdges::CompleteToWrite => true,
-            CrossEdges::WriteWrite | CrossEdges::WriteToAll => index.is_mutating(op),
-        }
-    }
-
-    /// True if `op` can be the target of a cross-component edge.
-    #[inline]
-    fn is_target(self, index: &HistoryIndex, op: usize) -> bool {
-        match self {
-            CrossEdges::None => false,
-            CrossEdges::AllPairs | CrossEdges::WriteToAll => true,
-            CrossEdges::WriteWrite | CrossEdges::CompleteToWrite => index.is_mutating(op),
-        }
-    }
-}
-
-/// The saturated search run per communication component, with per-component
-/// witnesses merged into one global witness.
-///
-/// Verdict-equivalent to
-/// [`find_sequence_with`](crate::checker::search::find_sequence_with) on the
-/// same inputs, provided `cross` matches the model that produced
-/// `constraints` (see [`CrossEdges::for_model`]): an unsatisfiable component
-/// is unsatisfiable globally (its ops are constrained only among themselves
-/// and by cross real-time edges, which only *further* restrict), and a
-/// successful merge yields a sequence respecting every constraint. When the
-/// greedy merge cannot interleave the component witnesses (possible when a
-/// component's internal order over-commits), the whole-history saturated
-/// search decides — so no verdict is ever lost to decomposition.
-///
-/// # Errors
-///
-/// Propagates [`SearchError`] from the underlying searches.
-pub fn find_sequence_decomposed(
-    history: &History,
-    index: &HistoryIndex,
-    required: &[OpId],
-    optional: &[OpId],
-    constraints: &Constraints,
-    cross: CrossEdges,
-) -> Result<Option<Vec<OpId>>, SearchError> {
-    let split = ComponentSplit::split(history);
-    if split.len() <= 1 {
-        return find_sequence_saturated(index, required, optional, constraints);
-    }
-    let k = split.len();
-    let mut req_by: Vec<Vec<OpId>> = vec![Vec::new(); k];
-    let mut opt_by: Vec<Vec<OpId>> = vec![Vec::new(); k];
-    for &id in required {
-        req_by[split.comp_of(id)].push(id);
-    }
-    for &id in optional {
-        opt_by[split.comp_of(id)].push(id);
-    }
-    let mut edges_by: Vec<Vec<(OpId, OpId)>> = vec![Vec::new(); k];
-    for &(a, b) in constraints.edges() {
-        let (ca, cb) = (split.comp_of(a), split.comp_of(b));
-        if ca == cb {
-            edges_by[ca].push((a, b));
-        }
-        // Cross-component edges are dropped here and re-imposed by the merge
-        // (they are always of the `cross` time-edge class for a well-formed
-        // model constraint set).
-    }
-    let mut witnesses: Vec<Vec<OpId>> = Vec::with_capacity(k);
-    for c in 0..k {
-        if req_by[c].is_empty() && opt_by[c].is_empty() {
-            witnesses.push(Vec::new());
-            continue;
-        }
-        let comp_constraints = Constraints::from_edges(std::mem::take(&mut edges_by[c]));
-        match find_sequence_saturated(index, &req_by[c], &opt_by[c], &comp_constraints)? {
-            Some(w) => witnesses.push(w),
-            None => return Ok(None),
-        }
-    }
-    if cross == CrossEdges::None {
-        return Ok(Some(witnesses.concat()));
-    }
-    match merge_witnesses(index, &witnesses, cross) {
-        Some(merged) => Ok(Some(merged)),
-        None => find_sequence_saturated(index, required, optional, constraints),
-    }
-}
-
-/// Greedily interleaves per-component witnesses so that every cross-component
-/// time edge (`resp(source) < inv(target)`, source/target per `cross`) is
-/// respected. Returns `None` if stuck — the caller falls back to the
-/// whole-history search.
-///
-/// Greedy is safe here: emitting an op only advances component pointers, and
-/// the per-component suffix-minimum of unemitted source response times is
-/// non-decreasing as the pointer advances — so an emittable head can never
-/// become unemittable. If the loop stalls, no interleaving of *these*
-/// witnesses exists.
-fn merge_witnesses(
-    index: &HistoryIndex,
-    witnesses: &[Vec<OpId>],
-    cross: CrossEdges,
-) -> Option<Vec<OpId>> {
-    const INF: u64 = u64::MAX;
-    // suffix_min[c][p]: the minimum response time among source-class ops at
-    // positions >= p of component c's witness.
-    let suffix_min: Vec<Vec<u64>> = witnesses
-        .iter()
-        .map(|w| {
-            let mut v = vec![INF; w.len() + 1];
-            for p in (0..w.len()).rev() {
-                let op = w[p].index();
-                let s = if cross.is_source(index, op) {
-                    index.response_us(op).unwrap_or(INF)
-                } else {
-                    INF
-                };
-                v[p] = v[p + 1].min(s);
-            }
-            v
-        })
-        .collect();
-    let total: usize = witnesses.iter().map(Vec::len).sum();
-    let mut ptr = vec![0usize; witnesses.len()];
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        let mut emitted = false;
-        for (c, w) in witnesses.iter().enumerate() {
-            let p = ptr[c];
-            if p >= w.len() {
-                continue;
-            }
-            let head = w[p].index();
-            let emittable = if !cross.is_target(index, head) {
-                true
-            } else {
-                let inv = index.invoke_us(head);
-                // No other component may still hold an unemitted source that
-                // really precedes this head (strictly: resp < inv).
-                suffix_min.iter().enumerate().all(|(d, sm)| d == c || sm[ptr[d]] >= inv)
-            };
-            if emittable {
-                out.push(w[p]);
-                ptr[c] += 1;
-                emitted = true;
-                break;
-            }
-        }
-        if !emitted {
-            return None;
-        }
-    }
-    Some(out)
-}
-
-/// [`check_witness_parallel`] with component-level parallelism: membership is
-/// validated globally, each component's sub-history and sub-witness are
-/// checked independently on scoped threads, and the one cross-component
-/// constraint (the RSS/RSC global write-write real-time sweep) is checked
-/// directly on the full witness. Accepts and rejects exactly the same
-/// witnesses as [`check_witness`]; as with the sharded checker, *which*
-/// violation is reported may differ.
-///
-/// [`WitnessModel::RealTime`] histories take the whole-history path — the
-/// all-pairs real-time sweep is inherently global.
-pub fn check_witness_decomposed(
-    history: &History,
-    witness: &[OpId],
-    model: WitnessModel,
-    threads: usize,
-) -> Result<(), WitnessViolation> {
-    let split = ComponentSplit::split(history);
-    if model == WitnessModel::RealTime || split.len() <= 1 {
-        let index = HistoryIndex::new(history);
-        return check_witness_parallel(history, &index, witness, model, threads);
-    }
-
-    // Global membership: unknown ids, duplicates, missing complete ops.
-    let mut positions = vec![u32::MAX; history.len()];
-    for (pos, &id) in witness.iter().enumerate() {
-        if id.index() >= history.len() {
-            return Err(WitnessViolation::UnknownOp(id));
-        }
-        if positions[id.index()] != u32::MAX {
-            return Err(WitnessViolation::DuplicateOp(id));
-        }
-        positions[id.index()] = pos as u32;
-    }
-    for op in history.ops() {
-        if op.is_complete() && positions[op.id.index()] == u32::MAX {
-            return Err(WitnessViolation::MissingCompleteOp(op.id));
-        }
-    }
-
-    // Per-component sub-histories (fresh dense ids in ascending old-id order,
-    // which preserves per-process `(invoke, id)` sorting) and sub-witnesses.
-    let comps = split.components();
-    let mut tasks: Vec<(History, Vec<OpId>, &[OpId])> = Vec::with_capacity(comps.len());
-    for old_ids in comps {
-        let mut sub = History::new();
-        for &old in old_ids {
-            let op = history.op(old);
-            match (&op.response, &op.result) {
-                (Some(resp), Some(result)) => {
-                    sub.add_complete(
-                        op.process,
-                        op.service,
-                        op.kind.clone(),
-                        op.invoke,
-                        *resp,
-                        result.clone(),
-                    );
-                }
-                _ => {
-                    sub.add_incomplete(op.process, op.service, op.kind.clone(), op.invoke);
-                }
-            }
-        }
-        // Copy every message edge; edges whose endpoint processes are not in
-        // this component bind no operations here (and both endpoints of a
-        // message always share a component, so the owning component sees the
-        // identical edge set).
-        for m in history.messages() {
-            sub.add_message(m.from, m.sent_at, m.to, m.received_at);
-        }
-        tasks.push((sub, Vec::new(), old_ids));
-    }
-    for &id in witness {
-        let c = split.comp_of(id);
-        let local = comps[c].binary_search(&id).expect("witness op is in its component");
-        tasks[c].1.push(OpId(local as u32));
-    }
-
-    let threads = threads.max(1).min(tasks.len());
-    let failure: std::sync::Mutex<Option<WitnessViolation>> = std::sync::Mutex::new(None);
-    std::thread::scope(|scope| {
-        let failure = &failure;
-        let tasks = &tasks;
-        for t in 0..threads {
-            scope.spawn(move || {
-                for (c, (sub, sub_witness, old_ids)) in tasks.iter().enumerate() {
-                    if c % threads != t {
-                        continue;
-                    }
-                    if let Err(v) = check_witness(sub, sub_witness, model) {
-                        let remapped = remap_violation(v, old_ids);
-                        failure.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(remapped);
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(v) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(v);
-    }
-
-    // The global write-write real-time sweep (clause 3 of RSS/RSC) is the one
-    // Regular constraint that crosses components; every other family was
-    // covered per component.
-    if model == WitnessModel::Regular {
-        check_global_write_write(history, &positions)?;
-    }
-    Ok(())
-}
-
-/// Maps a violation reported against a component sub-history back to the
-/// original op ids.
-fn remap_violation(v: WitnessViolation, old_ids: &[OpId]) -> WitnessViolation {
-    let map = |id: OpId| old_ids[id.index()];
-    match v {
-        WitnessViolation::UnknownOp(id) => WitnessViolation::UnknownOp(map(id)),
-        WitnessViolation::DuplicateOp(id) => WitnessViolation::DuplicateOp(map(id)),
-        WitnessViolation::MissingCompleteOp(id) => WitnessViolation::MissingCompleteOp(map(id)),
-        WitnessViolation::Spec(SpecViolation { op, expected, actual }) => {
-            WitnessViolation::Spec(SpecViolation { op: map(op), expected, actual })
-        }
-        WitnessViolation::OrderViolation { kind, first, second } => {
-            WitnessViolation::OrderViolation { kind, first: map(first), second: map(second) }
-        }
-    }
-}
-
-/// The global RSS/RSC write-write constraint on the full witness: every
-/// completed mutating op precedes (in the witness) every mutating op that
-/// follows it in real time. Mirrors the certificate checker's sweep exactly
-/// (strict `<` on times, running maximum over responded sources).
-fn check_global_write_write(history: &History, positions: &[u32]) -> Result<(), WitnessViolation> {
-    let mut sources: Vec<(u64, u32, u32)> = Vec::new();
-    let mut targets: Vec<(u64, u32, u32)> = Vec::new();
-    for op in history.ops() {
-        let pos = positions[op.id.index()];
-        if pos == u32::MAX || !op.kind.is_mutating() {
-            continue;
-        }
-        if let Some(resp) = op.response {
-            sources.push((resp.as_micros(), pos, op.id.0));
-        }
-        targets.push((op.invoke.as_micros(), pos, op.id.0));
-    }
-    sources.sort_unstable();
-    targets.sort_unstable();
-    let mut max_pos: Option<(u32, u32)> = None;
-    let mut si = 0;
-    for &(t_inv, pos_b, id_b) in &targets {
-        while si < sources.len() && sources[si].0 < t_inv {
-            let (_, pos_a, id_a) = sources[si];
-            if max_pos.map(|(p, _)| pos_a > p).unwrap_or(true) {
-                max_pos = Some((pos_a, id_a));
-            }
-            si += 1;
-        }
-        if let Some((p, id_a)) = max_pos {
-            if p > pos_b && id_a != id_b {
-                return Err(WitnessViolation::OrderViolation {
-                    kind: OrderKind::RegularWrite,
-                    first: OpId(id_a),
-                    second: OpId(id_b),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::models::{check, constraints_for_with, satisfies};
+    use crate::checker::certificate::{check_witness, WitnessModel};
+    use crate::checker::models::{check, constraints_for, satisfies, Model};
+    use crate::checker::search::find_sequence_reference;
     use crate::history::HistoryBuilder;
     use crate::spec::check_sequence;
 
@@ -580,9 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_search_agrees_across_models() {
+    fn check_agrees_with_reference_across_models() {
         let h = two_group_history();
-        let index = HistoryIndex::new(&h);
         for model in [
             Model::StrictSerializability,
             Model::Linearizability,
@@ -591,33 +190,25 @@ mod tests {
             Model::ProcessOrderedSerializability,
             Model::SequentialConsistency,
         ] {
-            let constraints = constraints_for_with(&h, &index, model);
-            let plain = crate::checker::search::find_sequence_with(
-                &index,
-                index.complete_ids(),
-                index.pending_mutations(),
-                &constraints,
-            )
-            .unwrap();
-            let decomposed = find_sequence_decomposed(
+            let constraints = constraints_for(&h, model);
+            let reference = find_sequence_reference(
                 &h,
-                &index,
-                index.complete_ids(),
-                index.pending_mutations(),
+                &h.complete_ids(),
+                &h.pending_mutations(),
                 &constraints,
-                CrossEdges::for_model(model),
             )
             .unwrap();
-            assert_eq!(plain.is_some(), decomposed.is_some(), "{model:?}");
-            if let Some(seq) = &decomposed {
+            let outcome = check(&h, model).unwrap();
+            assert_eq!(outcome.satisfied, reference.is_some(), "{model:?}");
+            if let Some(seq) = &outcome.witness {
                 assert!(check_sequence(&h, seq).is_ok(), "{model:?} witness replays");
             }
         }
     }
 
     #[test]
-    fn merged_witness_respects_cross_component_real_time() {
-        // Component A finishes entirely before component B starts; the merged
+    fn witness_respects_cross_component_real_time() {
+        // Component A finishes entirely before component B starts; the
         // linearizability witness must order A's ops before B's, which the
         // real-time witness checker verifies end-to-end.
         let mut b = HistoryBuilder::new();
@@ -626,19 +217,9 @@ mod tests {
         b.write(2, 2, 20, 100, 105);
         b.read(2, 2, 20, 106, 109);
         let h = b.build();
-        let index = HistoryIndex::new(&h);
         assert_eq!(ComponentSplit::split(&h).len(), 2);
-        let constraints = constraints_for_with(&h, &index, Model::Linearizability);
-        let witness = find_sequence_decomposed(
-            &h,
-            &index,
-            index.complete_ids(),
-            index.pending_mutations(),
-            &constraints,
-            CrossEdges::AllPairs,
-        )
-        .unwrap()
-        .expect("linearizable history");
+        let witness =
+            check(&h, Model::Linearizability).unwrap().witness.expect("linearizable history");
         assert_eq!(check_witness(&h, &witness, WitnessModel::RealTime), Ok(()));
     }
 
@@ -649,86 +230,8 @@ mod tests {
         b.write(3, 11, 30, 0, 5); // stale-read component
         b.read(4, 11, 0, 20, 30);
         let h = b.build();
-        let index = HistoryIndex::new(&h);
         assert_eq!(ComponentSplit::split(&h).len(), 2);
-        let constraints = constraints_for_with(&h, &index, Model::Linearizability);
-        let verdict = find_sequence_decomposed(
-            &h,
-            &index,
-            index.complete_ids(),
-            index.pending_mutations(),
-            &constraints,
-            CrossEdges::AllPairs,
-        )
-        .unwrap();
-        assert!(verdict.is_none());
         assert!(!satisfies(&h, Model::Linearizability));
-    }
-
-    #[test]
-    fn decomposed_witness_check_agrees_with_whole_check() {
-        let h = two_group_history();
-        let outcome = check(&h, Model::RegularSequentialConsistency).unwrap();
-        let witness = outcome.witness.expect("satisfiable");
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                check_witness_decomposed(&h, &witness, WitnessModel::Regular, threads),
-                Ok(()),
-                "{threads} threads accept"
-            );
-            // Swap two ops of one process: a process-order violation both
-            // checkers reject.
-            let mut bad = witness.clone();
-            let (i, j) = (
-                bad.iter().position(|&x| x == OpId(0)).unwrap(),
-                bad.iter().position(|&x| x == OpId(3)).unwrap(),
-            );
-            bad.swap(i, j);
-            assert!(
-                check_witness(&h, &bad, WitnessModel::Regular).is_err(),
-                "whole checker rejects"
-            );
-            assert!(
-                check_witness_decomposed(&h, &bad, WitnessModel::Regular, threads).is_err(),
-                "{threads} threads reject"
-            );
-        }
-    }
-
-    #[test]
-    fn decomposed_witness_check_enforces_cross_component_write_write() {
-        // Two disjoint components; w1 finishes before w2 starts, so Regular
-        // requires w1 before w2 in the witness even though no key is shared.
-        let mut b = HistoryBuilder::new();
-        let w1 = b.write(1, 1, 10, 0, 5);
-        let w2 = b.write(2, 2, 20, 10, 15);
-        let h = b.build();
-        assert_eq!(ComponentSplit::split(&h).len(), 2);
-        assert_eq!(check_witness_decomposed(&h, &[w1, w2], WitnessModel::Regular, 2), Ok(()));
-        let err = check_witness_decomposed(&h, &[w2, w1], WitnessModel::Regular, 2).unwrap_err();
-        assert!(matches!(
-            err,
-            WitnessViolation::OrderViolation { kind: OrderKind::RegularWrite, .. }
-        ));
-        // And matches the whole-history checker.
-        assert!(check_witness(&h, &[w2, w1], WitnessModel::Regular).is_err());
-    }
-
-    #[test]
-    fn decomposed_witness_check_reports_membership_errors() {
-        let h = two_group_history();
-        let witness = check(&h, Model::SequentialConsistency).unwrap().witness.unwrap();
-        let mut missing = witness.clone();
-        let dropped = missing.pop().unwrap();
-        assert_eq!(
-            check_witness_decomposed(&h, &missing, WitnessModel::ProcessOrder, 2),
-            Err(WitnessViolation::MissingCompleteOp(dropped))
-        );
-        let mut dup = witness.clone();
-        dup.push(witness[0]);
-        assert_eq!(
-            check_witness_decomposed(&h, &dup, WitnessModel::ProcessOrder, 2),
-            Err(WitnessViolation::DuplicateOp(witness[0]))
-        );
+        assert!(!satisfies(&h, Model::RegularSequentialConsistency));
     }
 }

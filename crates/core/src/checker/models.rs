@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::checker::search::{Constraints, SearchError};
+use crate::checker::search::{find_sequence_with, Constraints, SearchError};
 use crate::history::{History, HistoryIndex};
 use crate::order::CausalOrder;
 use crate::types::OpId;
@@ -155,39 +155,38 @@ pub fn constraints_for_with(history: &History, index: &HistoryIndex, model: Mode
 
 /// Checks whether `history` satisfies `model`.
 ///
-/// Runs the full certification cascade: the saturation prefilter derives
-/// forced order edges (a cycle refutes without search), communication
-/// components are searched independently and their witnesses merged, and only
-/// then does the exponential search run — per component, over the saturated
-/// constraint set.
+/// Builds the model's constraint set and runs the exact search
+/// ([`find_sequence_with`]): the plain search under a step budget, with
+/// saturation as the complete fallback.
 ///
 /// # Errors
 ///
-/// The `Result` is kept for signature stability; the exact search no longer
-/// has a size ceiling. It is still exponential in the worst case — use the
-/// certificate checkers for protocol-scale histories.
+/// [`SearchError::TooManyPending`] when the history has more pending
+/// mutating operations than the search enumerates subsets of. The search has
+/// no size ceiling otherwise, but it is exponential in the worst case — use
+/// the certificate checkers for protocol-scale histories.
 pub fn check(history: &History, model: Model) -> Result<CheckOutcome, SearchError> {
     let index = HistoryIndex::new(history);
     let constraints = constraints_for_with(history, &index, model);
     let required = index.complete_ids();
     let optional = index.pending_mutations();
-    let cross = crate::checker::decompose::CrossEdges::for_model(model);
-    match crate::checker::decompose::find_sequence_decomposed(
-        history,
-        &index,
-        required,
-        optional,
-        &constraints,
-        cross,
-    )? {
+    match find_sequence_with(&index, required, optional, &constraints)? {
         Some(witness) => Ok(CheckOutcome::satisfied(witness)),
         None => Ok(CheckOutcome::violated()),
     }
 }
 
 /// Convenience wrapper asserting satisfaction, for use in tests and examples.
+///
+/// # Panics
+///
+/// If [`check`] cannot decide the history (a [`SearchError`]); an undecided
+/// history is never reported as a violation.
 pub fn satisfies(history: &History, model: Model) -> bool {
-    check(history, model).map(|o| o.satisfied).unwrap_or(false)
+    match check(history, model) {
+        Ok(outcome) => outcome.satisfied,
+        Err(e) => panic!("cannot decide {} on this history: {e:?}", model.name()),
+    }
 }
 
 /// Checks a history against a *composition of independently consistent
@@ -215,8 +214,15 @@ pub fn check_composed(history: &History, model: Model) -> Result<CheckOutcome, S
 }
 
 /// Convenience wrapper over [`check_composed`].
+///
+/// # Panics
+///
+/// If [`check_composed`] cannot decide the history (a [`SearchError`]).
 pub fn satisfies_composed(history: &History, model: Model) -> bool {
-    check_composed(history, model).map(|o| o.satisfied).unwrap_or(false)
+    match check_composed(history, model) {
+        Ok(outcome) => outcome.satisfied,
+        Err(e) => panic!("cannot decide composed {} on this history: {e:?}", model.name()),
+    }
 }
 
 #[cfg(test)]
@@ -334,6 +340,33 @@ mod tests {
         assert!(!satisfies(&h, Model::ProcessOrderedSerializability));
         assert!(!satisfies(&h, Model::RegularSequentialSerializability));
         assert!(!satisfies(&h, Model::StrictSerializability));
+    }
+
+    /// Thirteen concurrent pending writes to `x` and a read of the 13th
+    /// value: linearizable (the 13th write takes effect before the read),
+    /// but past the search's pending-subset limit. Searching without the
+    /// 13th write would report a violation, so the search must refuse.
+    #[test]
+    fn too_many_pending_writes_is_an_error_not_a_violation() {
+        let mut b = HistoryBuilder::new();
+        for p in 1..=13u32 {
+            b.pending_write(p, 1, p as u64, 0);
+        }
+        b.read(14, 1, 13, 10, 20);
+        let h = b.build();
+        let refused = SearchError::TooManyPending { pending: 13 };
+        for model in [Model::Linearizability, Model::RegularSequentialConsistency] {
+            assert_eq!(check(&h, model), Err(refused.clone()));
+            let reference = crate::checker::search::find_sequence_reference(
+                &h,
+                &h.complete_ids(),
+                &h.pending_mutations(),
+                &constraints_for(&h, model),
+            );
+            assert_eq!(reference, Err(refused.clone()));
+        }
+        let undecided = std::panic::catch_unwind(|| satisfies(&h, Model::Linearizability));
+        assert!(undecided.is_err(), "satisfies must not turn an error into `false`");
     }
 
     #[test]

@@ -35,9 +35,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::checker::decompose::{find_sequence_decomposed, CrossEdges};
-use crate::checker::saturate::find_sequence_saturated;
-use crate::checker::search::{Constraints, SearchError};
+use crate::checker::search::{find_sequence_with, Constraints, SearchError};
 use crate::history::{History, HistoryIndex};
 use crate::order::{real_time_precedes, CausalOrder};
 use crate::types::{Key, OpId, Value};
@@ -86,28 +84,17 @@ impl ProximalModel {
 ///
 /// # Errors
 ///
-/// The `Result` is kept for signature stability, but the search-based
-/// checkers no longer have a size ceiling (the scheduled-set is an
-/// [`crate::opset::OpSet`] bitset arena); these checkers are still meant for
-/// the small hand-built schedules of the appendix comparisons and for
+/// [`SearchError::TooManyPending`] when a search-based checker meets more
+/// pending mutating operations than the exact search enumerates subsets of.
+/// The search has no size ceiling otherwise; these checkers are still meant
+/// for the small hand-built schedules of the appendix comparisons and for
 /// property tests — they are exponential in the worst case.
 pub fn check_proximal(history: &History, model: ProximalModel) -> Result<bool, SearchError> {
     let index = HistoryIndex::new(history);
     match model {
-        // CRDB's real-time edges require a shared key, so they never cross
-        // communication components.
-        ProximalModel::Crdb => {
-            check_total_order(history, &index, crdb_constraints(&index), CrossEdges::None)
-        }
-        ProximalModel::OscU => check_total_order(
-            history,
-            &index,
-            osc_u_constraints(&index),
-            CrossEdges::CompleteToWrite,
-        ),
-        ProximalModel::VvRegularity => {
-            check_total_order(history, &index, vv_constraints(&index), CrossEdges::WriteToAll)
-        }
+        ProximalModel::Crdb => check_total_order(&index, crdb_constraints(&index)),
+        ProximalModel::OscU => check_total_order(&index, osc_u_constraints(&index)),
+        ProximalModel::VvRegularity => check_total_order(&index, vv_constraints(&index)),
         ProximalModel::RealTimeCausal => check_real_time_causal(history, &index),
         ProximalModel::StrongSnapshotIsolation => Ok(check_strong_si(history)),
         ProximalModel::MwrWeak => Ok(check_mwr(history, MwrVariant::Weak)),
@@ -117,15 +104,10 @@ pub fn check_proximal(history: &History, model: ProximalModel) -> Result<bool, S
     }
 }
 
-fn check_total_order(
-    history: &History,
-    index: &HistoryIndex,
-    constraints: Constraints,
-    cross: CrossEdges,
-) -> Result<bool, SearchError> {
+fn check_total_order(index: &HistoryIndex, constraints: Constraints) -> Result<bool, SearchError> {
     let required = index.complete_ids();
     let optional = index.pending_mutations();
-    Ok(find_sequence_decomposed(history, index, required, optional, &constraints, cross)?.is_some())
+    Ok(find_sequence_with(index, required, optional, &constraints)?.is_some())
 }
 
 /// CRDB: process order + real-time order between operations sharing a key.
@@ -222,7 +204,7 @@ fn check_real_time_causal(history: &History, index: &HistoryIndex) -> Result<boo
             }
         }
         let constraints = Constraints::from_edges(edges);
-        if find_sequence_saturated(index, &included, pending, &constraints)?.is_none() {
+        if find_sequence_with(index, &included, pending, &constraints)?.is_none() {
             return Ok(false);
         }
     }

@@ -1,8 +1,10 @@
-//! Saturation prefilter: stage 1 of the certification cascade.
+//! Saturation: the exact search's complete fallback.
 //!
-//! Before the exponential sequence search runs, this module *saturates* the
-//! constraint set the way polynomial consistency-checking algorithms do
-//! (dbcop's saturation over the visibility relation; Biswas & Enea): it
+//! When the plain search in
+//! [`find_sequence_with`](crate::checker::search::find_sequence_with) runs
+//! out of its step budget, this module *saturates* the constraint set the
+//! way polynomial consistency-checking algorithms do (dbcop's saturation
+//! over the visibility relation; Biswas & Enea): it
 //! derives every order edge that must hold in *any* legal sequence and closes
 //! the set transitively to a fixed point. Three things fall out:
 //!
@@ -35,7 +37,7 @@
 //! heuristics; the differential property tests assert verdict equivalence
 //! with [`crate::checker::search::find_sequence_reference`].
 
-use crate::checker::search::{find_sequence_with, Constraints, SearchError};
+use crate::checker::search::{find_sequence_unbounded, Constraints, SearchError};
 use crate::hashing::FxBuildHasher;
 use crate::history::{HistoryIndex, KindTag};
 use crate::opset::OpSet;
@@ -44,7 +46,7 @@ use std::collections::HashMap;
 
 /// Required-set size above which [`find_sequence_saturated`] skips saturation
 /// entirely: the closure rows are `n²` bits and the Floyd–Warshall sweep is
-/// `O(n³/64)`, which stops being a *pre*filter well before protocol scale
+/// `O(n³/64)`, which stops paying for itself well before protocol scale
 /// (those histories go through the witness checkers instead).
 const MAX_SATURATION_OPS: usize = 4096;
 
@@ -90,7 +92,7 @@ impl Saturation {
 
     /// A concrete constraint cycle when [`Saturation::is_cyclic`], as a
     /// sequence of ops each of which must precede the next (and the last must
-    /// precede the first) — the "immediate counterexample" the prefilter
+    /// precede the first) — the "immediate counterexample" saturation
     /// reports instead of searching.
     pub fn cycle(&self) -> Option<Vec<OpId>> {
         if !self.cyclic {
@@ -331,15 +333,17 @@ fn close(preds: &mut [OpSet]) {
     }
 }
 
-/// [`find_sequence_with`] behind the saturation prefilter: saturate the
-/// constraints over `required`, return unsatisfiable immediately on a
-/// saturation cycle, and otherwise run the search with the (strictly
+/// The complete exact search behind saturation: saturate the constraints
+/// over `required`, return unsatisfiable immediately on a saturation cycle,
+/// and otherwise run the unbudgeted plain search with the (strictly
 /// stronger, verdict-preserving) augmented constraint set.
+///
+/// [`find_sequence_with`](crate::checker::search::find_sequence_with) calls
+/// this only once its budgeted plain search gives up.
 ///
 /// # Errors
 ///
-/// Propagates [`SearchError`] from the underlying search (kept for signature
-/// stability; the optimized search has no size ceiling).
+/// Propagates [`SearchError`] from the underlying search.
 pub fn find_sequence_saturated(
     index: &HistoryIndex,
     required: &[OpId],
@@ -347,14 +351,14 @@ pub fn find_sequence_saturated(
     constraints: &Constraints,
 ) -> Result<Option<Vec<OpId>>, SearchError> {
     if required.len() > MAX_SATURATION_OPS {
-        return find_sequence_with(index, required, optional, constraints);
+        return find_sequence_unbounded(index, required, optional, constraints);
     }
     let sat = saturate(index, required, constraints);
     if sat.is_cyclic() {
         return Ok(None);
     }
     let augmented = sat.augmented_constraints(constraints);
-    find_sequence_with(index, required, optional, &augmented)
+    find_sequence_unbounded(index, required, optional, &augmented)
 }
 
 #[cfg(test)]
@@ -431,7 +435,7 @@ mod tests {
         let index = HistoryIndex::new(&h);
         let cons = constraints_for_with(&h, &index, Model::SequentialConsistency);
         assert_eq!(find_sequence_saturated(&index, &h.complete_ids(), &[], &cons).unwrap(), None);
-        assert!(find_sequence_with(&index, &h.complete_ids(), &[], &cons).unwrap().is_none());
+        assert!(find_sequence_unbounded(&index, &h.complete_ids(), &[], &cons).unwrap().is_none());
     }
 
     #[test]
@@ -467,7 +471,7 @@ mod tests {
             Model::Linearizability,
         ] {
             let cons = constraints_for_with(&h, &index, model);
-            let plain = find_sequence_with(&index, &h.complete_ids(), &[], &cons).unwrap();
+            let plain = find_sequence_unbounded(&index, &h.complete_ids(), &[], &cons).unwrap();
             let sat = find_sequence_saturated(&index, &h.complete_ids(), &[], &cons).unwrap();
             assert_eq!(plain.is_some(), sat.is_some(), "{model:?}");
             if let Some(seq) = &sat {

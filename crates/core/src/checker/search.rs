@@ -14,6 +14,15 @@
 //! property tests — not for full protocol runs, which use the certificate
 //! checkers instead.
 //!
+//! # One path
+//!
+//! [`find_sequence_with`] is the one exact-search entry point (the model
+//! checkers and the proximal checkers all call it). It runs the plain search
+//! below under a fixed step budget and, only if that budget runs out, hands
+//! the inputs to [`find_sequence_saturated`] — the complete fallback whose
+//! saturation cycle check refutes unsatisfiable histories without
+//! enumerating them.
+//!
 //! # Hot-path structure
 //!
 //! The search runs over *local indices* (positions in the `required` ++
@@ -22,13 +31,10 @@
 //! * [`Constraints`] is an edge list with a sorted/deduplicated invariant;
 //!   it is compiled once per [`find_sequence`] call into a
 //!   [`ConstraintGraph`] of per-node predecessor bitset rows.
-//! * Scheduled sets, candidate masks, and the memo key are bitsets over the
-//!   local indices, and there is no hard size ceiling anymore: histories up
-//!   to 128 ops run the monomorphized `u128` fast path (bit-for-bit the old
-//!   hot loop, so small searches pay nothing for the lifted ceiling), and
-//!   larger histories switch to the word-arena [`OpSet`] representation.
-//!   (The old `MAX_SEARCH_OPS` cap survives only in
-//!   [`find_sequence_reference`], whose masks are still plain `u128`.)
+//! * Scheduled sets, candidate masks, and the memo key are [`OpSet`] bitsets
+//!   over the local indices (inline up to 128 ops, a word arena beyond), so
+//!   there is no size ceiling. (The old `MAX_SEARCH_OPS` cap survives only
+//!   in [`find_sequence_reference`], whose masks are still plain `u128`.)
 //! * Cycle checks per optional-subset are bitset Kahn peels on the compiled
 //!   graph — no hash maps, no sorting, and no allocation in the subset loop
 //!   for ≤128-op histories.
@@ -46,6 +52,7 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 
+use crate::checker::saturate::find_sequence_saturated;
 use crate::hashing::FxSeenSet;
 use crate::history::{History, HistoryIndex};
 use crate::opset::{words_for, OpSet};
@@ -58,8 +65,12 @@ use crate::types::OpId;
 pub const MAX_SEARCH_OPS: usize = 128;
 
 /// Maximum number of optional (pending mutating) operations whose subsets are
-/// enumerated.
+/// enumerated; more is a [`SearchError::TooManyPending`].
 const MAX_OPTIONAL_OPS: usize = 12;
+
+/// Backtracking frames the plain search in [`find_sequence_with`] may enter
+/// before it hands the inputs to the saturation fallback.
+const PLAIN_SEARCH_BUDGET: usize = 1 << 16;
 
 /// Precedence constraints: `a` must appear before `b` whenever both are in the
 /// candidate sequence.
@@ -230,47 +241,9 @@ impl ConstraintGraph {
     pub fn preds_blocked(&self, i: usize, active: &OpSet, placed: &OpSet) -> bool {
         self.preds_row(i)
             .iter()
-            .enumerate()
-            .any(|(w, &row)| row & active.word(w) & !placed.word(w) != 0)
-    }
-
-    /// Predecessor row of node `i` as a single `u128`. Only meaningful on
-    /// the ≤128-node fast path (`words_per_row() <= 2`).
-    #[inline]
-    fn preds_u128(&self, i: usize) -> u128 {
-        debug_assert!(self.wpr <= 2);
-        let row = self.preds_row(i);
-        let lo = row[0] as u128;
-        if self.wpr == 2 {
-            lo | (row[1] as u128) << 64
-        } else {
-            lo
-        }
-    }
-
-    /// [`ConstraintGraph::has_cycle_masked`] on the `u128` fast path: the
-    /// flat-word Kahn peel the ≤128-op searches use.
-    fn has_cycle_u128(&self, active: u128) -> bool {
-        let mut remaining = active;
-        loop {
-            let mut peeled = 0u128;
-            let mut scan = remaining;
-            while scan != 0 {
-                let i = scan.trailing_zeros() as usize;
-                let bit = 1u128 << i;
-                scan &= scan - 1;
-                if self.preds_u128(i) & remaining == 0 {
-                    peeled |= bit;
-                }
-            }
-            if peeled == 0 {
-                return remaining != 0;
-            }
-            remaining &= !peeled;
-            if remaining == 0 {
-                return false;
-            }
-        }
+            .zip(active.words())
+            .zip(placed.words())
+            .any(|((&row, &a), &p)| row & a & !p != 0)
     }
 
     /// True if the graph restricted to `active` contains a cycle: a bitset
@@ -330,6 +303,14 @@ pub enum SearchError {
         /// Number of operations in the history.
         ops: usize,
     },
+    /// More optional (pending mutating) operations than the search
+    /// enumerates subsets of. Dropping the excess would be unsound — a
+    /// pending write beyond the cut may be the only explanation of a read —
+    /// so the search refuses instead of answering.
+    TooManyPending {
+        /// Number of optional operations passed in.
+        pending: usize,
+    },
 }
 
 /// Searches for a legal sequence containing every operation in `required` and
@@ -341,6 +322,11 @@ pub enum SearchError {
 /// size ceiling (the scheduled-set is an [`OpSet`] bitset arena), but the
 /// search is exponential in the worst case — protocol-scale histories belong
 /// to the certificate checkers.
+///
+/// # Errors
+///
+/// [`SearchError::TooManyPending`] when `optional` holds more than the
+/// search enumerates subsets of.
 pub fn find_sequence(
     history: &History,
     required: &[OpId],
@@ -353,175 +339,109 @@ pub fn find_sequence(
 
 /// [`find_sequence`] over a prebuilt [`HistoryIndex`], letting callers that
 /// run several searches on one history (the model checkers) share the index.
+///
+/// This is the one exact-search entry point. The plain backtracking search
+/// runs first under a fixed step budget — on satisfiable inputs it usually
+/// finds a witness in about one step per operation. Only when the budget runs out
+/// does [`find_sequence_saturated`] take over: it is complete, and its
+/// saturation cycle check refutes unsatisfiable inputs the plain search
+/// would enumerate for exponentially long.
+///
+/// # Errors
+///
+/// [`SearchError::TooManyPending`] when `optional` holds more than the
+/// search enumerates subsets of.
 pub fn find_sequence_with(
     index: &HistoryIndex,
     required: &[OpId],
     optional: &[OpId],
     constraints: &Constraints,
 ) -> Result<Option<Vec<OpId>>, SearchError> {
-    // Try subsets of the optional operations, smallest first (the common case
-    // is that pending writes need not be included).
-    let optional = &optional[..optional.len().min(MAX_OPTIONAL_OPS)];
+    match search(index, required, optional, constraints, PLAIN_SEARCH_BUDGET)? {
+        Searched::Found(seq) => Ok(Some(seq)),
+        Searched::Unsatisfiable => Ok(None),
+        Searched::OutOfBudget => find_sequence_saturated(index, required, optional, constraints),
+    }
+}
+
+/// The plain search with no step budget: the complete search the saturation
+/// fallback runs over its augmented constraints.
+pub(crate) fn find_sequence_unbounded(
+    index: &HistoryIndex,
+    required: &[OpId],
+    optional: &[OpId],
+    constraints: &Constraints,
+) -> Result<Option<Vec<OpId>>, SearchError> {
+    match search(index, required, optional, constraints, usize::MAX)? {
+        Searched::Found(seq) => Ok(Some(seq)),
+        Searched::Unsatisfiable => Ok(None),
+        Searched::OutOfBudget => unreachable!("an unbounded search cannot run out of budget"),
+    }
+}
+
+/// How a budgeted search ended.
+#[derive(Debug, PartialEq, Eq)]
+enum Searched {
+    Found(Vec<OpId>),
+    Unsatisfiable,
+    OutOfBudget,
+}
+
+/// The backtracking search over [`OpSet`] scheduled sets, trying the optional
+/// subsets smallest first (the common case is that pending writes need not
+/// be included). `budget` caps the backtracking frames entered across all
+/// subsets.
+fn search(
+    index: &HistoryIndex,
+    required: &[OpId],
+    optional: &[OpId],
+    constraints: &Constraints,
+    budget: usize,
+) -> Result<Searched, SearchError> {
+    if optional.len() > MAX_OPTIONAL_OPS {
+        return Err(SearchError::TooManyPending { pending: optional.len() });
+    }
     let mut ids = Vec::with_capacity(required.len() + optional.len());
     ids.extend_from_slice(required);
     ids.extend_from_slice(optional);
     let universe = ids.len();
     let graph = ConstraintGraph::compile(constraints, &ids, index.len());
-
-    if universe <= OpSet::INLINE_BITS {
-        // Fast path: the whole old `u128` regime, monomorphized flat-word
-        // arithmetic with no per-word indirection.
-        return Ok(search_small(index, &graph, &ids, required.len(), optional.len()));
-    }
-    Ok(search_large(index, &graph, &ids, required.len(), optional.len()))
-}
-
-/// The low `n` bits of a `u128`. Safe at both edges: `n == 0` (the old
-/// `u128::MAX >> (128 - n)` idiom would shift by 128 and panic) and
-/// `n == 128`.
-#[inline]
-fn low_bits_u128(n: usize) -> u128 {
-    debug_assert!(n <= 128);
-    if n == 0 {
-        0
-    } else {
-        u128::MAX >> (128 - n)
-    }
-}
-
-/// The ≤128-op search: `u128` scheduled sets (the pre-`OpSet` hot path,
-/// kept monomorphized so small searches pay nothing for the lifted ceiling).
-fn search_small(
-    index: &HistoryIndex,
-    graph: &ConstraintGraph,
-    ids: &[OpId],
-    required: usize,
-    optional: usize,
-) -> Option<Vec<OpId>> {
-    let required_mask = low_bits_u128(required);
-    let mut searcher = SmallSearcher {
+    let required_set = OpSet::first_n(universe, required.len());
+    let mut searcher = Searcher {
         index,
-        graph,
-        ids,
-        state: IndexedSpecState::new(index.num_dense_keys()),
-        seen: FxSeenSet::default(),
-        seq: Vec::with_capacity(ids.len()),
-    };
-    let subsets = 1usize << optional;
-    for subset in 0..subsets {
-        // `subset > 0` implies `optional > 0`, which keeps the shift below
-        // 128 (`required + optional == ids.len() <= 128`).
-        let active = if subset == 0 {
-            required_mask
-        } else {
-            required_mask | ((subset as u128) << required)
-        };
-        if graph.has_cycle_u128(active) {
-            continue;
-        }
-        if searcher.search(active) {
-            return Some(searcher.seq);
-        }
-    }
-    None
-}
-
-/// The >128-op search: [`OpSet`] scheduled sets of any width.
-fn search_large(
-    index: &HistoryIndex,
-    graph: &ConstraintGraph,
-    ids: &[OpId],
-    required: usize,
-    optional: usize,
-) -> Option<Vec<OpId>> {
-    let universe = ids.len();
-    let required_set = OpSet::first_n(universe, required);
-    let mut searcher = LargeSearcher {
-        index,
-        graph,
-        ids,
+        graph: &graph,
+        ids: &ids,
         state: IndexedSpecState::new(index.num_dense_keys()),
         seen: FxSeenSet::default(),
         seq: Vec::with_capacity(universe),
         active: OpSet::empty(universe),
         placed: OpSet::empty(universe),
         active_count: 0,
+        budget,
     };
-    let subsets = 1usize << optional;
-    for subset in 0..subsets {
+    for subset in 0..1usize << optional.len() {
         let mut active = required_set.clone();
         if subset != 0 {
             // `subset > 0` implies `optional` is non-empty, so the shifted
             // bits stay inside the universe.
-            active.or_shifted(subset as u64, required);
+            active.or_shifted(subset as u64, required.len());
         }
         if graph.has_cycle_masked(&active) {
             continue;
         }
         if searcher.search(active) {
-            return Some(searcher.seq);
+            return Ok(Searched::Found(searcher.seq));
+        }
+        if searcher.budget == 0 {
+            return Ok(Searched::OutOfBudget);
         }
     }
-    None
+    Ok(Searched::Unsatisfiable)
 }
 
-/// The ≤128-op searcher: scheduled sets are `u128` bitmasks.
-struct SmallSearcher<'a> {
-    index: &'a HistoryIndex,
-    graph: &'a ConstraintGraph,
-    ids: &'a [OpId],
-    state: IndexedSpecState,
-    seen: FxSeenSet<u128>,
-    seq: Vec<OpId>,
-}
-
-impl SmallSearcher<'_> {
-    /// Searches for a topological order of `active` that replays legally.
-    fn search(&mut self, active: u128) -> bool {
-        debug_assert_eq!(self.state.checkpoint(), 0, "state is pristine between subsets");
-        self.seen.clear();
-        self.seq.clear();
-        let found = self.backtrack(active, 0);
-        // `seq` keeps the witness on success; the state is always reset for
-        // the next subset.
-        self.state.rollback(0);
-        found
-    }
-
-    fn backtrack(&mut self, active: u128, placed: u128) -> bool {
-        if placed == active {
-            return true;
-        }
-        if !self.seen.insert((placed, self.state.fingerprint())) {
-            return false;
-        }
-        let mut candidates = active & !placed;
-        while candidates != 0 {
-            let i = candidates.trailing_zeros() as usize;
-            let bit = 1u128 << i;
-            candidates &= candidates - 1;
-            if self.graph.preds_u128(i) & active & !placed != 0 {
-                continue;
-            }
-            let op = self.ids[i].index();
-            let cp = self.state.checkpoint();
-            if !self.state.apply_checked(self.index, op) {
-                continue;
-            }
-            self.seq.push(self.ids[i]);
-            if self.backtrack(active, placed | bit) {
-                return true;
-            }
-            self.seq.pop();
-            self.state.rollback(cp);
-        }
-        false
-    }
-}
-
-/// The arbitrary-size searcher: scheduled sets are [`OpSet`]s; holds the
-/// mutable state reused across optional-subsets.
-struct LargeSearcher<'a> {
+/// The backtracking searcher: holds the mutable state reused across
+/// optional-subsets.
+struct Searcher<'a> {
     index: &'a HistoryIndex,
     graph: &'a ConstraintGraph,
     ids: &'a [OpId],
@@ -531,10 +451,14 @@ struct LargeSearcher<'a> {
     active: OpSet,
     placed: OpSet,
     active_count: usize,
+    /// Backtracking frames left; the search gives up when it reaches zero.
+    budget: usize,
 }
 
-impl LargeSearcher<'_> {
+impl Searcher<'_> {
     /// Searches for a topological order of `active` that replays legally.
+    /// A `false` with `budget == 0` means the search gave up, not that no
+    /// order exists.
     fn search(&mut self, active: OpSet) -> bool {
         debug_assert_eq!(self.state.checkpoint(), 0, "state is pristine between subsets");
         debug_assert!(self.placed.is_empty(), "placed set is pristine between subsets");
@@ -554,6 +478,10 @@ impl LargeSearcher<'_> {
         if depth == self.active_count {
             return true;
         }
+        if self.budget == 0 {
+            return false;
+        }
+        self.budget -= 1;
         if !self.seen.insert((self.placed.clone(), self.state.fingerprint())) {
             return false;
         }
@@ -561,7 +489,7 @@ impl LargeSearcher<'_> {
         // recursive return (it is restored on the way out), with a `tried`
         // mask excluding bits this frame already attempted — no per-frame
         // snapshot allocation for any history size.
-        for w in 0..self.active.num_words() {
+        for w in 0..self.graph.words_per_row() {
             let mut tried = 0u64;
             loop {
                 let cand = self.active.word(w) & !self.placed.word(w) & !tried;
@@ -587,6 +515,9 @@ impl LargeSearcher<'_> {
                 self.seq.pop();
                 self.placed.remove(i);
                 self.state.rollback(cp);
+                if self.budget == 0 {
+                    return false;
+                }
             }
         }
         false
@@ -610,7 +541,9 @@ pub fn find_sequence_reference(
     if history.len() > MAX_SEARCH_OPS {
         return Err(SearchError::TooLarge { ops: history.len() });
     }
-    let optional = &optional[..optional.len().min(MAX_OPTIONAL_OPS)];
+    if optional.len() > MAX_OPTIONAL_OPS {
+        return Err(SearchError::TooManyPending { pending: optional.len() });
+    }
     let subsets = 1usize << optional.len();
     for subset in 0..subsets {
         let mut included: Vec<OpId> = required.to_vec();
@@ -986,24 +919,20 @@ mod tests {
         *s
     }
 
-    /// Runs both private searcher implementations on identical compiled
-    /// inputs and checks they agree on satisfiability; any witness either
-    /// produces must replay legally and respect the constraints.
+    /// Runs the unbudgeted [`OpSet`] search and [`find_sequence_reference`]
+    /// (the `u128`-mask oracle) on identical inputs and checks they agree on
+    /// satisfiability; any witness either produces must replay legally and
+    /// respect the constraints.
     fn assert_small_and_large_agree(h: &History, cons: &Constraints, label: &str) {
         let index = HistoryIndex::new(h);
         let required = h.complete_ids();
-        let optional: Vec<OpId> =
-            h.pending_mutations().into_iter().take(MAX_OPTIONAL_OPS).collect();
-        let mut ids = required.clone();
-        ids.extend_from_slice(&optional);
-        assert!(ids.len() <= 128, "the small path only covers 128 ops ({label})");
-        let graph = ConstraintGraph::compile(cons, &ids, index.len());
-        let small = search_small(&index, &graph, &ids, required.len(), optional.len());
-        let large = search_large(&index, &graph, &ids, required.len(), optional.len());
+        let optional = h.pending_mutations();
+        let small = find_sequence_reference(h, &required, &optional, cons).unwrap();
+        let large = find_sequence_unbounded(&index, &required, &optional, cons).unwrap();
         assert_eq!(
             small.is_some(),
             large.is_some(),
-            "small/large searchers disagree ({label}): small={small:?} large={large:?}"
+            "reference/OpSet searches disagree ({label}): reference={small:?} opset={large:?}"
         );
         for seq in [&small, &large].into_iter().flatten() {
             assert!(crate::spec::check_sequence(h, seq).is_ok(), "illegal witness ({label})");
@@ -1018,10 +947,10 @@ mod tests {
 
     #[test]
     fn small_and_large_searchers_agree_on_randomized_histories() {
-        // The LargeSearcher's word-loop candidate enumeration and OpSet memo
-        // key must match the u128 fast path bit for bit. Random small
-        // histories (mixed reads/writes/pending, reads sometimes of
-        // impossible values) cover the one-word regime densely.
+        // The OpSet searcher's word-loop candidate enumeration and memo key
+        // must reach the reference search's verdict. Random small histories
+        // (mixed reads/writes/pending, reads sometimes of impossible values)
+        // cover the one-word regime densely.
         for seed in 1..=120u64 {
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let n = 4 + xorshift(&mut s) % 7; // 4..=10 ops
@@ -1075,6 +1004,65 @@ mod tests {
             let label = format!("{n} ops, impossible_read={impossible_read}");
             assert_small_and_large_agree(&h, &cons, &label);
         }
+    }
+
+    #[test]
+    fn exhausted_budget_falls_back_to_saturation_for_unsat() {
+        // Under sequential consistency, P1 reads y=20 then writes x=10 while
+        // P2 reads x=10 then writes y=20: each read needs the other process's
+        // later write first, a cycle saturation sees at once. Neither read can
+        // ever be placed, so the plain search instead enumerates every
+        // interleaving of six independent 8-write padding chains (9^6 placed
+        // sets) and runs out of budget.
+        let mut b = HistoryBuilder::new();
+        b.read(1, 2, 20, 0, 5);
+        b.write(1, 1, 10, 10, 15);
+        b.read(2, 1, 10, 0, 5);
+        b.write(2, 2, 20, 10, 15);
+        for p in 3..9u32 {
+            for i in 0..8u64 {
+                b.write(p, 100 + p as u64, i + 1, i * 10, i * 10 + 5);
+            }
+        }
+        let h = b.build();
+        let index = HistoryIndex::new(&h);
+        let cons = Constraints::from_edges(index.process_order_pairs().collect());
+        let required = h.complete_ids();
+        assert_eq!(
+            search(&index, &required, &[], &cons, PLAIN_SEARCH_BUDGET),
+            Ok(Searched::OutOfBudget)
+        );
+        assert!(crate::checker::saturate::saturate(&index, &required, &cons).is_cyclic());
+        assert_eq!(find_sequence_with(&index, &required, &[], &cons), Ok(None));
+    }
+
+    #[test]
+    fn exhausted_budget_still_finds_a_witness() {
+        // Under sequential consistency, a read of x=0 concurrent with a write
+        // of x=1 is satisfiable only with the read first. The plain search
+        // places the write first (lower index) and then enumerates every
+        // interleaving of five independent 9-write padding chains (10^5
+        // placed sets) before it could backtrack, so it runs out of budget;
+        // the complete fallback must still return the witness.
+        let mut b = HistoryBuilder::new();
+        b.write(1, 1, 1, 0, 5);
+        let r = b.read(2, 1, 0, 0, 5);
+        for p in 3..8u32 {
+            for i in 0..9u64 {
+                b.write(p, 100 + p as u64, i + 1, i * 10, i * 10 + 5);
+            }
+        }
+        let h = b.build();
+        let index = HistoryIndex::new(&h);
+        let cons = Constraints::from_edges(index.process_order_pairs().collect());
+        let required = h.complete_ids();
+        assert_eq!(
+            search(&index, &required, &[], &cons, PLAIN_SEARCH_BUDGET),
+            Ok(Searched::OutOfBudget)
+        );
+        let seq = find_sequence_with(&index, &required, &[], &cons).unwrap().expect("satisfiable");
+        assert!(crate::spec::check_sequence(&h, &seq).is_ok());
+        assert!(seq.iter().position(|&x| x == r) < seq.iter().position(|&x| x == OpId(0)));
     }
 
     #[test]

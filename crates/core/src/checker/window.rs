@@ -1,4 +1,4 @@
-//! Windowed streaming certification: stage 3 of the cascade.
+//! Windowed streaming certification: the third witness checker.
 //!
 //! The batch certificate checker ([`check_witness`](crate::checker::check_witness))
 //! needs the whole history and the whole witness up front. For a

@@ -9,9 +9,10 @@
 //! the photo-sharing application used throughout the paper to compare models.
 //!
 //! A map of the whole workspace — every crate, the two execution planes
-//! (deterministic simulation and live threads), the three-stage certification
-//! cascade, and how a sweep seed becomes a certified verdict — lives in
-//! `ARCHITECTURE.md` at the repository root.
+//! (deterministic simulation and live threads), the certification cascade
+//! (witness checkers: batch / sharded / streaming; exact search: plain search
+//! → saturation fallback), and how a sweep seed becomes a certified verdict
+//! — lives in `ARCHITECTURE.md` at the repository root.
 //!
 //! # Layout
 //!
@@ -22,10 +23,11 @@
 //!   order (Section 3.3).
 //! * [`spec`] — sequential specifications of the key-value and messaging
 //!   services, and sequence replay.
-//! * [`checker`] — exact search checkers for RSS, RSC, strict
-//!   serializability, linearizability, PO serializability, and sequential
-//!   consistency; scalable witness (certificate) checkers used on protocol
-//!   runs; and checkers for the proximal models of Appendix A.
+//! * [`checker`] — witness checkers (batch / sharded / streaming) that
+//!   certify protocol runs; the exact search (plain search → saturation
+//!   fallback) deciding RSS, RSC, strict serializability, linearizability,
+//!   PO serializability, and sequential consistency; and checkers for the
+//!   proximal models of Appendix A.
 //! * [`mod@transform`] — the Lemma 1 construction turning an RSS execution into an
 //!   equivalent strictly serializable one.
 //! * [`invariants`] — the photo-sharing application, invariants I1/I2, and
@@ -70,9 +72,7 @@ pub mod types;
 pub use checker::certificate::{
     check_witness, check_witness_parallel, WitnessModel, WitnessViolation,
 };
-pub use checker::decompose::{
-    check_witness_decomposed, find_sequence_decomposed, ComponentSplit, CrossEdges,
-};
+pub use checker::decompose::ComponentSplit;
 pub use checker::models::{check, satisfies, CheckOutcome, Model};
 pub use checker::proximal::{check_proximal, ProximalModel};
 pub use checker::saturate::{find_sequence_saturated, saturate, Saturation};

@@ -5,9 +5,6 @@
 use proptest::prelude::*;
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness, check_witness_parallel, WitnessModel};
-use regular_core::checker::decompose::{
-    check_witness_decomposed, find_sequence_decomposed, CrossEdges,
-};
 use regular_core::checker::models::{check, constraints_for, Model};
 use regular_core::checker::saturate::find_sequence_saturated;
 use regular_core::checker::search::{find_sequence, find_sequence_reference};
@@ -123,8 +120,8 @@ fn build_history_with_pending(ops: &[GenOp]) -> History {
 
 /// Builds `groups` disjoint copies of the generated history — distinct
 /// processes, keys, and write values per group, but overlapping real-time
-/// intervals — so the component decomposition actually splits the work and
-/// the cross-component real-time sweep has pairs to look at.
+/// intervals — so the checkers see several communication components with
+/// real-time edges between them.
 fn build_grouped_history(ops: &[GenOp], groups: usize) -> History {
     let mut history = History::new();
     for g in 0..groups as u64 {
@@ -382,12 +379,12 @@ proptest! {
         }
     }
 
-    /// The certification cascade — saturation prefilter alone, and saturation
-    /// + component decomposition — reaches exactly the same satisfiability
-    /// verdict as the naive reference search under every model, on histories
-    /// whose disjoint groups force the decomposed path to actually split.
-    /// Any witness the cascade produces passes the spec replay and the
-    /// model's constraint edges.
+    /// The exact search — `check` (plain search, saturation fallback) and
+    /// the saturated search on its own — reaches exactly the same
+    /// satisfiability verdict as the naive reference search under every
+    /// model, on histories made of one or more disjoint groups. Any witness
+    /// either produces passes the spec replay and the model's constraint
+    /// edges.
     #[test]
     fn certification_cascade_agrees_with_reference_search(
         ops in gen_ops(7),
@@ -410,15 +407,7 @@ proptest! {
                 find_sequence_reference(&h, &required, &optional, &constraints).unwrap();
             let saturated =
                 find_sequence_saturated(&index, &required, &optional, &constraints).unwrap();
-            let cascaded = find_sequence_decomposed(
-                &h,
-                &index,
-                &required,
-                &optional,
-                &constraints,
-                CrossEdges::for_model(model),
-            )
-            .unwrap();
+            let checked = check(&h, model).unwrap().witness;
             prop_assert_eq!(
                 saturated.is_some(),
                 reference.is_some(),
@@ -428,14 +417,14 @@ proptest! {
                 &reference
             );
             prop_assert_eq!(
-                cascaded.is_some(),
+                checked.is_some(),
                 reference.is_some(),
-                "{} verdicts diverge: decomposed={:?} reference={:?}",
+                "{} verdicts diverge: check={:?} reference={:?}",
                 model.name(),
-                &cascaded,
+                &checked,
                 &reference
             );
-            for witness in [&saturated, &cascaded].into_iter().flatten() {
+            for witness in [&saturated, &checked].into_iter().flatten() {
                 prop_assert!(check_sequence(&h, witness).is_ok());
                 let pos = |id| witness.iter().position(|x| *x == id);
                 for (a, b) in constraints.edges() {
@@ -490,45 +479,6 @@ proptest! {
                 &batch,
                 &streamed
             );
-        }
-    }
-
-    /// Component-decomposed witness checking is equivalent to the sequential
-    /// checker — identical accept/reject verdicts at every thread count and
-    /// witness model, on multi-group histories where the decomposition
-    /// genuinely splits (and the cross-component write-write sweep carries
-    /// the global constraint).
-    #[test]
-    fn decomposed_witness_check_agrees_with_sequential(
-        ops in gen_ops(40),
-        groups in 1usize..4,
-        flip in any::<bool>(),
-    ) {
-        let h = build_grouped_history(&ops, groups);
-        // A plausibly-valid candidate: global invocation order interleaves
-        // the groups; the flip perturbation usually trips a constraint.
-        let mut witness = h.complete_ids();
-        witness.sort_by_key(|&id| (h.op(id).invoke.as_micros(), id));
-        if flip && witness.len() >= 2 {
-            let n = witness.len();
-            witness.swap(0, n - 1);
-        }
-        for model in [WitnessModel::RealTime, WitnessModel::Regular, WitnessModel::ProcessOrder] {
-            let sequential = check_witness(&h, &witness, model);
-            for threads in [1usize, 3] {
-                let decomposed = check_witness_decomposed(&h, &witness, model, threads);
-                prop_assert_eq!(
-                    sequential.is_ok(),
-                    decomposed.is_ok(),
-                    "verdicts diverge ({} ops, {} groups, {} threads, {:?}): seq={:?} dec={:?}",
-                    h.len(),
-                    groups,
-                    threads,
-                    model,
-                    &sequential,
-                    &decomposed
-                );
-            }
         }
     }
 

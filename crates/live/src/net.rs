@@ -6,7 +6,7 @@
 //! router keeps doing exactly what it does in-process: apply
 //! [`NetworkModel`] latency and [`FaultSchedule`](regular_sim::fault::FaultSchedule)
 //! verdicts on the scaled wall clock, and record
-//! [`DeliveryRecord`](crate::transport::DeliveryRecord)s for failure
+//! [`DeliveryRecord`]s for failure
 //! artifacts.
 //!
 //! # Topology

@@ -247,7 +247,8 @@ pub struct SeedReport {
     /// Messages that expired at a crashed node.
     pub expired: u64,
     /// Connected components of the certified history (shared keys,
-    /// processes, messages), as split by the decomposed checker.
+    /// processes, messages), as found by `ComponentSplit` — a structural
+    /// observable of the run; certification does not split on it.
     pub components: usize,
     /// High-water mark of the streaming reorder buffer; 0 on batch runs.
     pub peak_window: usize,

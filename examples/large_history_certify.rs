@@ -4,20 +4,19 @@
 //! with real runs, which are orders of magnitude past the 128-op exact
 //! search frontier. This example drives a long Spanner-RSS simulation to
 //! roughly 100k operations, certifies the recorded history against its
-//! serialization witness through the *streaming* cascade (component
-//! decomposition + windowed checking, fed in completion order), and prints
-//! the certification throughput alongside the component structure.
+//! serialization witness through the *streaming* checker (windowed checking,
+//! fed in completion order), and prints the certification throughput
+//! alongside the component structure.
 //!
-//! It then repeats the exercise on a synthetic 8-group history where the
-//! component decomposition actually splits the work, showing the three
-//! certification paths (batch, decomposed, streaming) agree.
+//! It then repeats the exercise on a synthetic 8-group history, showing the
+//! three witness checkers (batch, sharded on 2 threads, streaming) agree.
 //!
 //! Run with: `cargo run --release --example large_history_certify`
 
 use std::time::Instant;
 
 use regular_seq::core::checker::certificate::WitnessModel;
-use regular_seq::core::{check_witness, check_witness_decomposed, ComponentSplit};
+use regular_seq::core::{check_witness, check_witness_parallel, ComponentSplit, HistoryIndex};
 use regular_seq::sweep::{certify_streaming, run_seed_with, synthetic_history, Scenario};
 
 fn main() {
@@ -37,8 +36,7 @@ fn main() {
     println!("  peak reorder window  {} ops", run.report.peak_window);
 
     // A synthetic history with real component structure: 8 disjoint
-    // process/key groups, so the decomposed checker certifies 8 independent
-    // sub-histories. All three certification paths agree.
+    // process/key groups. All three witness checkers agree.
     let (history, witness) = synthetic_history(100_000, 8);
     let components = ComponentSplit::split(&history).len();
 
@@ -47,9 +45,10 @@ fn main() {
     let batch_ms = started.elapsed().as_secs_f64() * 1_000.0;
 
     let started = Instant::now();
-    check_witness_decomposed(&history, &witness, WitnessModel::Regular, 2)
-        .expect("decomposed certifies");
-    let decomposed_ms = started.elapsed().as_secs_f64() * 1_000.0;
+    let index = HistoryIndex::new(&history);
+    check_witness_parallel(&history, &index, &witness, WitnessModel::Regular, 2)
+        .expect("sharded certifies");
+    let sharded_ms = started.elapsed().as_secs_f64() * 1_000.0;
 
     let started = Instant::now();
     let stats =
@@ -58,7 +57,7 @@ fn main() {
 
     println!("\nsynthetic 100k-op history, {components} components:");
     println!("  batch check          {batch_ms:.1} ms");
-    println!("  decomposed check     {decomposed_ms:.1} ms ({components} components, 2 threads)");
+    println!("  sharded check        {sharded_ms:.1} ms (2 threads, index included)");
     println!("  streaming check      {streaming_ms:.1} ms (peak window {})", stats.peak_window);
-    println!("\nall three certification paths accept the same witness");
+    println!("\nall three witness checkers accept the same witness");
 }
