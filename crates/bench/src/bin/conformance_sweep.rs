@@ -1,7 +1,6 @@
 //! Parallel conformance sweep: certify fleets of seeded runs.
 //!
-//! Fans seeded simulator runs of every scenario (Spanner-RSS, Gryff-RSC,
-//! and the composed two-store deployment) across a work-stealing thread
+//! Fans seeded runs of the chosen scenarios across a work-stealing thread
 //! pool, certifies each history against its RSS/RSC witness model, and
 //! writes the aggregate to `BENCH_sweep.json`. Seeds that fail certification
 //! are dumped as replayable artifacts (see `--replay`).
@@ -10,16 +9,17 @@
 //!
 //! ```text
 //! conformance_sweep [--seeds N] [--base-seed S] [--threads T]
-//!                   [--check-threads C]
-//!                   [--scenarios spanner,gryff,composed,spanner-faults,
-//!                                gryff-faults,composed-faults,
-//!                                spanner-faults-durable,gryff-faults-durable,
-//!                                composed-faults-durable]
+//!                   [--check-threads C] [--scenarios all|live|NAME,...]
 //!                   [--ops N] [--stream]
 //!                   [--out BENCH_sweep.json] [--artifact-dir sweep-artifacts]
 //!                   [--scaling 1,4]
 //! conformance_sweep --replay <artifact.json>
 //! ```
+//!
+//! Scenario names and their aliases are the rows of
+//! `regular_sweep::SCENARIOS` (an unknown name prints the valid ones).
+//! `all`, the default, is every simulator row (`Scenario::ALL`); `live` is
+//! every live-plane row (`Scenario::LIVE`).
 //!
 //! `--scaling T1,T2,…` re-runs the whole sweep once per thread count and
 //! records the wall-clock of each in the report's `scaling` section (the
@@ -29,11 +29,9 @@
 //! the batch parallel checker. Exit status is non-zero when any seed fails
 //! certification — the CI gate.
 //!
-//! `--scenarios live` sweeps the live execution plane instead
-//! (`live-spanner-rss,live-gryff-rsc,live-composed,live-spanner-faults`):
-//! every node an OS thread on scaled wall-clock time, certified online
-//! through the streaming checker. The sweep scenarios run over the
-//! in-process mpsc transport; the live plane itself also carries nodes
+//! The live rows run every node as an OS thread on scaled wall-clock time,
+//! certified online through the streaming checker. The sweep runs them over
+//! the in-process mpsc transport; the live plane itself also carries nodes
 //! over Unix-domain sockets and TCP, up to fully separate OS processes —
 //! `live_bench --net` exercises those backends (see `OPERATIONS.md`).
 //! Live runs occupy real cores, so pair them with a small `--threads`.
@@ -42,7 +40,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use regular_sweep::{
-    run_sweep, sweep_to_json, write_json, FailureArtifact, Scenario, SweepOptions,
+    run_sweep, sweep_to_json, write_json, FailureArtifact, Scenario, SweepOptions, SCENARIOS,
 };
 
 struct Args {
@@ -101,11 +99,8 @@ fn parse_args() -> Args {
                         .split(',')
                         .map(|s| {
                             Scenario::parse(s).unwrap_or_else(|| {
-                                let valid: Vec<&str> = Scenario::ALL
-                                    .iter()
-                                    .chain(Scenario::LIVE.iter())
-                                    .map(|v| v.name())
-                                    .collect();
+                                let valid: Vec<&str> =
+                                    SCENARIOS.iter().map(|row| row.name).collect();
                                 usage(&format!(
                                     "unknown scenario '{s}' (valid: {}, or 'all'/'live')",
                                     valid.join(", ")

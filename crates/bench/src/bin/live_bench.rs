@@ -54,9 +54,8 @@ use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::WitnessModel;
 use regular_gryff::prelude as gryff;
 use regular_live::{
-    build_spanner_nodes, run_cluster_live, run_gryff_live, run_hub_multiproc,
-    run_worker_multiproc, GryffLiveSpec, ListenAddr, Listener, LiveConfig, SpannerLiveSpec,
-    TransportKind, WireStats,
+    build_spanner_nodes, run_cluster_live, run_gryff_live, run_hub_multiproc, run_worker_multiproc,
+    GryffLiveSpec, ListenAddr, Listener, LiveConfig, SpannerLiveSpec, TransportKind, WireStats,
 };
 use regular_session::{CompletedRecord, SessionConfig, SessionWorkload};
 use regular_sim::{LatencyMatrix, LatencyRecorder, SimDuration, SimTime};
@@ -619,10 +618,7 @@ fn net_mode(
                         ("transport", Json::str("uds")),
                         ("history_ops", Json::u64(m.history_ops as u64)),
                         ("certified", Json::Bool(m.certified)),
-                        (
-                            "violation",
-                            m.violation.as_deref().map(Json::str).unwrap_or(Json::Null),
-                        ),
+                        ("violation", m.violation.as_deref().map(Json::str).unwrap_or(Json::Null)),
                         ("sim_ops_per_sec", Json::f64(round2(m.sim_ops_per_sec))),
                         ("wall_ops_per_sec", Json::f64(round2(m.wall_ops_per_sec))),
                         ("wall_ms", Json::f64(round2(m.wall_ms))),

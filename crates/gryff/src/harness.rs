@@ -155,6 +155,37 @@ pub fn client_config(config: &GryffConfig, replicas: Vec<NodeId>) -> GryffClient
     }
 }
 
+/// Builds a deployment's node list — replicas first (ids
+/// `0..num_replicas`), then clients — with each node's region,
+/// deterministically from the spec parts.
+///
+/// The one node graph of a Gryff deployment: [`run_gryff`] adds it to the
+/// engine, and the live plane hosts the same list (multi-process workers
+/// each rebuild it and host their partition), so node ids line up across
+/// planes.
+pub fn build_gryff_nodes(
+    config: &GryffConfig,
+    clients: Vec<GryffClientSpec>,
+    stop_issuing_at: SimTime,
+) -> Vec<(GryffNode, usize)> {
+    let mut nodes: Vec<(GryffNode, usize)> = Vec::new();
+    let mut replica_ids = Vec::new();
+    for i in 0..config.num_replicas {
+        replica_ids.push(nodes.len());
+        nodes.push((
+            GryffNode::Replica(Box::new(GryffReplica::new(config, i))),
+            config.replica_regions[i],
+        ));
+    }
+    for c in clients {
+        let cfg = client_config(config, replica_ids.clone());
+        let runner =
+            SessionRunner::new(GryffService::new(cfg), c.sessions, stop_issuing_at, c.workload);
+        nodes.push((GryffNode::Client(Box::new(runner)), c.region));
+    }
+    nodes
+}
+
 /// Builds and runs a deployment.
 ///
 /// # Panics
@@ -192,26 +223,12 @@ fn run_gryff_inner(spec: GryffClusterSpec, record_coverage: bool) -> GryffRunRes
         engine.install_coverage(|m: &GryffMsg| m.class());
     }
 
-    let mut replica_ids = Vec::new();
-    for i in 0..config.num_replicas {
-        let id = engine.add_node_with(
-            GryffNode::Replica(Box::new(GryffReplica::new(&config, i))),
-            config.replica_regions[i],
-            config.replica_service_time,
-        );
-        replica_ids.push(id);
-    }
-    let mut client_ids = Vec::new();
-    for c in clients {
-        let cfg = client_config(&config, replica_ids.clone());
-        let runner =
-            SessionRunner::new(GryffService::new(cfg), c.sessions, stop_issuing_at, c.workload);
-        let id = engine.add_node_with(
-            GryffNode::Client(Box::new(runner)),
-            c.region,
-            config.client_service_time,
-        );
-        client_ids.push(id);
+    for (node, region) in build_gryff_nodes(&config, clients, stop_issuing_at) {
+        let service_time = match node {
+            GryffNode::Replica(_) => config.replica_service_time,
+            GryffNode::Client(_) => config.client_service_time,
+        };
+        engine.add_node_with(node, region, service_time);
     }
 
     let finished_at = engine.run();
@@ -222,7 +239,7 @@ fn run_gryff_inner(spec: GryffClusterSpec, record_coverage: bool) -> GryffRunRes
     let mut completed = Vec::new();
     let mut stats = GryffClientStats::default();
     let mut window_count = 0u64;
-    for &id in &client_ids {
+    for id in config.num_replicas..engine.num_nodes() {
         if let GryffNode::Client(c) = engine.node(id) {
             for op in &c.completed {
                 if op.finish >= measure_from {
@@ -252,7 +269,7 @@ fn run_gryff_inner(spec: GryffClusterSpec, record_coverage: bool) -> GryffRunRes
     let mut replica_stats = Vec::new();
     let mut storage = StorageSummary::default();
     let mut replica_registers = Vec::new();
-    for &id in &replica_ids {
+    for id in 0..config.num_replicas {
         if let GryffNode::Replica(r) = engine.node(id) {
             replica_stats.push(r.stats);
             storage.add_wal(&r.wal_stats());

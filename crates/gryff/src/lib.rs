@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::client::{GryffClientConfig, GryffClientStats, GryffService};
     pub use crate::config::{BugZoo, GryffConfig, Mode};
     pub use crate::harness::{
-        all_reads_explainable, build_history, build_history_from, client_config,
+        all_reads_explainable, build_gryff_nodes, build_history, build_history_from, client_config,
         read_value_summary, record_with_carstamp_chains, run_gryff, run_gryff_with_coverage,
         verify_run, GryffClient, GryffClientSpec, GryffClusterSpec, GryffNode, GryffRunResult,
         GryffVerificationError,

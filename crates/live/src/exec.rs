@@ -382,15 +382,13 @@ where
     if matches!(transport, TransportKind::Mpsc) {
         return run_live(cfg, net, nodes);
     }
-    let (hub_end, worker_end) =
-        SocketStream::pair(transport).expect("live transport socket pair");
+    let (hub_end, worker_end) = SocketStream::pair(transport).expect("live transport socket pair");
     let regions: Vec<Region> = nodes.iter().map(|&(_, r)| Region(r)).collect();
     let with_ids: Vec<(NodeId, N)> =
         nodes.into_iter().enumerate().map(|(id, (n, _))| (id, n)).collect();
     let (seed, epsilon) = (cfg.seed, cfg.truetime_epsilon);
-    let worker = std::thread::spawn(move || {
-        run_worker_conn::<M, N>(worker_end, 0, with_ids, seed, epsilon)
-    });
+    let worker =
+        std::thread::spawn(move || run_worker_conn::<M, N>(worker_end, 0, with_ids, seed, epsilon));
     let hub =
         run_hub_conns::<M>(&cfg, net, regions, vec![hub_end]).expect("live transport hub failed");
     let w = worker

@@ -1,15 +1,16 @@
 //! Live-plane deployment of the Gryff-style protocol.
 //!
-//! Mirrors `regular_gryff::harness::run_gryff` node for node — replicas
-//! first (ids `0..num_replicas`), then clients — on OS threads with the
-//! scaled wall clock. The protocol crate runs unmodified.
+//! Hosts the node list `regular_gryff::harness::run_gryff` runs — the one
+//! [`build_gryff_nodes`] graph, replicas first (ids `0..num_replicas`),
+//! then clients — on OS threads with the scaled wall clock. The protocol
+//! crate runs unmodified.
 
 use std::time::Duration;
 
 use regular_core::OpKind;
 use regular_gryff::prelude::*;
-use regular_gryff::replica::{GryffReplica, ReplicaStats};
-use regular_session::{CompletedRecord, SessionRunner, SessionStats};
+use regular_gryff::replica::ReplicaStats;
+use regular_session::{CompletedRecord, SessionStats};
 use regular_sim::{LatencyMatrix, LatencyRecorder, MessageStats, NodeId, SimDuration, SimTime};
 
 use crate::exec::{run_live_transport, LiveConfig, LiveNode, LiveOutcome};
@@ -83,34 +84,6 @@ pub struct GryffLiveResult {
     /// Aggregated session-scheduler statistics across all clients
     /// (arrivals/shed matter for open-loop runs).
     pub session_stats: SessionStats,
-}
-
-/// Builds the live deployment's node list — replicas first (ids
-/// `0..num_replicas`), then clients — deterministically from the spec
-/// parts, for the same reason as
-/// [`build_spanner_nodes`](crate::spanner_live::build_spanner_nodes):
-/// multi-process workers rebuild it identically and host a partition.
-pub fn build_gryff_nodes(
-    config: &GryffConfig,
-    clients: Vec<GryffClientSpec>,
-    stop_issuing_at: SimTime,
-) -> Vec<(GryffNode, usize)> {
-    let mut nodes: Vec<(GryffNode, usize)> = Vec::new();
-    let mut replica_ids = Vec::new();
-    for i in 0..config.num_replicas {
-        replica_ids.push(nodes.len());
-        nodes.push((
-            GryffNode::Replica(Box::new(GryffReplica::new(config, i))),
-            config.replica_regions[i],
-        ));
-    }
-    for c in clients {
-        let cfg = client_config(config, replica_ids.clone());
-        let runner =
-            SessionRunner::new(GryffService::new(cfg), c.sessions, stop_issuing_at, c.workload);
-        nodes.push((GryffNode::Client(Box::new(runner)), c.region));
-    }
-    nodes
 }
 
 /// Builds and runs a deployment on the live plane.

@@ -44,16 +44,18 @@ pub mod prelude {
     //! Everything a live harness needs.
     pub use crate::clock::LiveClock;
     pub use crate::exec::{run_live, run_live_transport, LiveConfig, LiveNode, LiveOutcome};
-    pub use crate::gryff_live::{build_gryff_nodes, run_gryff_live, GryffLiveResult, GryffLiveSpec};
+    pub use crate::gryff_live::{run_gryff_live, GryffLiveResult, GryffLiveSpec};
     pub use crate::net::{
         run_hub_multiproc, run_worker_multiproc, ListenAddr, Listener, MultiprocOutcome,
         SocketStream, WireStats,
     };
-    pub use crate::spanner_live::{
-        build_spanner_nodes, run_cluster_live, SpannerLiveResult, SpannerLiveSpec,
-    };
+    pub use crate::spanner_live::{run_cluster_live, SpannerLiveResult, SpannerLiveSpec};
     pub use crate::transport::{DeliveryRecord, LiveEvent, Mailbox, Outgoing, TransportKind};
     pub use crate::wire::Wire;
+    // The protocol crates' node-graph builders, which the live plane hosts
+    // unchanged (multi-process workers rebuild them to agree on node ids).
+    pub use regular_gryff::build_gryff_nodes;
+    pub use regular_spanner::build_spanner_nodes;
 }
 
 pub use prelude::*;

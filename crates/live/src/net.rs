@@ -50,9 +50,7 @@ use regular_sim::{MessageStats, NodeId, SimDuration, SimTime};
 
 use crate::clock::LiveClock;
 use crate::exec::{run_node, LiveConfig, LiveNode};
-use crate::transport::{
-    run_router, DeliveryRecord, LiveEvent, Mailbox, Outgoing, TransportKind,
-};
+use crate::transport::{run_router, DeliveryRecord, LiveEvent, Mailbox, Outgoing, TransportKind};
 use crate::wire::{read_wire_frame, write_frame, Frame, Wire, WireEvent};
 
 /// Byte/frame counters of one run's socket traffic, from the hub's
@@ -544,10 +542,8 @@ where
 {
     // Handshake: declare our nodes, receive the shared clock anchor.
     let mut conn = stream;
-    let hello = Frame::<M>::Hello {
-        worker,
-        nodes: nodes.iter().map(|&(id, _)| id as u64).collect(),
-    };
+    let hello =
+        Frame::<M>::Hello { worker, nodes: nodes.iter().map(|&(id, _)| id as u64).collect() };
     write_frame(&mut conn, &hello.to_bytes())?;
     conn.flush()?;
     let mut scratch = Vec::new();
@@ -583,7 +579,9 @@ where
         let (net_tx, rec_tx) = (net_tx.clone(), rec_tx.clone());
         node_threads.push((
             id,
-            std::thread::spawn(move || run_node(node, id, clock, seed, epsilon, rx, net_tx, rec_tx)),
+            std::thread::spawn(move || {
+                run_node(node, id, clock, seed, epsilon, rx, net_tx, rec_tx)
+            }),
         ));
     }
     drop(net_tx);
@@ -631,8 +629,7 @@ where
         let writer_tx = writer_tx.clone();
         std::thread::spawn(move || {
             for (id, stream, rec) in rec_rx.iter() {
-                let frame =
-                    Frame::<M>::Completion { node: id as u64, stream: stream as u64, rec };
+                let frame = Frame::<M>::Completion { node: id as u64, stream: stream as u64, rec };
                 if writer_tx.send(frame.to_bytes()).is_err() {
                     break;
                 }

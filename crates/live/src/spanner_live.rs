@@ -1,14 +1,14 @@
 //! Live-plane deployment of the Spanner-style protocol.
 //!
-//! Mirrors `regular_spanner::harness::run_cluster` node for node — shards
-//! first (ids `0..num_shards`), then clients, the same `ClientConfig` from
-//! the same builder — but each node is an OS thread and time is the scaled
+//! Hosts the node list `regular_spanner::harness::run_cluster` runs — the
+//! one [`build_spanner_nodes`] graph, shards first (ids `0..num_shards`),
+//! then clients — but each node is an OS thread and time is the scaled
 //! wall clock. The protocol crates are reused unmodified; only the
 //! execution substrate changes.
 
 use std::time::Duration;
 
-use regular_session::{CompletedRecord, SessionRunner, SessionStats};
+use regular_session::{CompletedRecord, SessionStats};
 use regular_sim::{LatencyMatrix, LatencyRecorder, MessageStats, NodeId, SimDuration, SimTime};
 use regular_spanner::prelude::*;
 use regular_spanner::shard::ShardStats;
@@ -86,40 +86,6 @@ pub struct SpannerLiveResult {
     pub session_stats: SessionStats,
 }
 
-/// Builds the live cluster's node list — shards first (ids
-/// `0..num_shards`), then clients — deterministically from the spec parts.
-///
-/// Public because multi-process workers need it: every process rebuilds the
-/// identical list from the shared scenario spec so node ids line up, then
-/// hosts only its own partition (see [`crate::net::run_worker_multiproc`]).
-pub fn build_spanner_nodes(
-    config: &SpannerConfig,
-    net: &LatencyMatrix,
-    clients: Vec<ClientSpec>,
-    stop_issuing_at: SimTime,
-) -> Vec<(SpannerNode, usize)> {
-    let mut nodes: Vec<(SpannerNode, usize)> = Vec::new();
-    let mut shard_nodes = Vec::new();
-    let mut replication_delays = Vec::new();
-    for shard in 0..config.num_shards {
-        let delay = config.replication_delay(shard, net);
-        replication_delays.push(delay);
-        shard_nodes.push(nodes.len());
-        nodes.push((
-            SpannerNode::Shard(Box::new(ShardNode::new(config, shard, delay))),
-            config.leader_regions[shard],
-        ));
-    }
-    for c in clients {
-        let cfg =
-            client_config(config, net, c.region, shard_nodes.clone(), replication_delays.clone());
-        let runner =
-            SessionRunner::new(SpannerService::new(cfg), c.sessions, stop_issuing_at, c.workload);
-        nodes.push((SpannerNode::Client(Box::new(runner)), c.region));
-    }
-    nodes
-}
-
 /// Builds and runs a cluster on the live plane.
 ///
 /// # Panics
@@ -141,8 +107,7 @@ pub fn run_cluster_live(spec: SpannerLiveSpec) -> SpannerLiveResult {
     } = spec;
     config.validate().expect("invalid Spanner configuration");
 
-    // Shards first (node ids 0..num_shards), exactly like the simulator
-    // harness, so NodeIds line up across planes.
+    // The simulator harness's node graph, so NodeIds line up across planes.
     let nodes = build_spanner_nodes(&config, &net, clients, stop_issuing_at);
     let shard_count = config.num_shards;
     let client_ids: Vec<NodeId> = (shard_count..nodes.len()).collect();

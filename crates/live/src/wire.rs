@@ -28,6 +28,7 @@ use regular_session::{CompletedRecord, WitnessHint};
 use regular_sim::{SimDuration, SimTime};
 use regular_spanner::messages::{PreparedInfo, SpannerMsg, TxnId};
 pub use regular_storage::codec::{crc32, Dec, Enc};
+use regular_storage::codec::{frame_header, parse_frame_header, FRAME_HEADER};
 
 /// A value that can cross a socket connection.
 ///
@@ -771,12 +772,9 @@ impl<M: Wire> Wire for Frame<M> {
             0 => Frame::Hello { worker: d.u64()?, nodes: Wire::decode(d)? },
             1 => Frame::Welcome { epoch_unix_nanos: d.u64()?, time_scale: d.u64()? },
             2 => Frame::Event { to: d.u64()?, ev: Wire::decode(d)? },
-            3 => Frame::Out {
-                from: d.u64()?,
-                to: d.u64()?,
-                extra_us: d.u64()?,
-                msg: M::decode(d)?,
-            },
+            3 => {
+                Frame::Out { from: d.u64()?, to: d.u64()?, extra_us: d.u64()?, msg: M::decode(d)? }
+            }
             4 => Frame::Completion { node: d.u64()?, stream: d.u64()?, rec: Wire::decode(d)? },
             5 => Frame::NodeDone { node: d.u64()?, expired: d.u64()? },
             _ => return None,
@@ -794,10 +792,7 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// a byte stream). Does not flush.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&frame_header(payload))?;
     w.write_all(payload)
 }
 
@@ -807,10 +802,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// inside a frame — a torn read), `InvalidData` when the length prefix is
 /// absurd or the CRC does not match (a corrupted frame).
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER];
     r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let (len, crc) = parse_frame_header(&header);
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -877,21 +871,14 @@ mod tests {
             dep: Some(Dep { key: Key(7), value: Value(8), cs }),
         });
         round_trip(GryffMsg::Write1 { op: OpRef { node: 1, seq: 2 }, key: Key(3), dep: None });
-        round_trip(GryffMsg::RmwReply {
-            op: OpRef { node: 9, seq: 10 },
-            old_value: Value(11),
-            cs,
-        });
+        round_trip(GryffMsg::RmwReply { op: OpRef { node: 9, seq: 10 }, old_value: Value(11), cs });
     }
 
     #[test]
     fn completion_and_control_frames_round_trip() {
         let rec = CompletedRecord {
             service: ServiceId(1),
-            kind: OpKind::RwTxn {
-                read_keys: vec![Key(1)],
-                writes: vec![(Key(2), Value(3))],
-            },
+            kind: OpKind::RwTxn { read_keys: vec![Key(1)], writes: vec![(Key(2), Value(3))] },
             result: OpResult::Values(vec![(Key(1), Value(9))]),
             invoke: SimTime::from_micros(10),
             finish: SimTime::from_micros(30),

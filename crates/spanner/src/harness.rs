@@ -154,6 +154,41 @@ pub fn client_config(
     }
 }
 
+/// Builds a cluster's node list — shards first (ids `0..num_shards`), then
+/// clients — with each node's region, deterministically from the spec parts.
+///
+/// The one node graph of a Spanner deployment: [`run_cluster`] adds it to
+/// the engine, and the live plane hosts the same list (multi-process
+/// workers each rebuild it and host their partition), so node ids — and
+/// the crash victims fault scripts name by id — line up across planes.
+pub fn build_spanner_nodes(
+    config: &SpannerConfig,
+    net: &LatencyMatrix,
+    clients: Vec<ClientSpec>,
+    stop_issuing_at: SimTime,
+) -> Vec<(SpannerNode, usize)> {
+    let mut nodes: Vec<(SpannerNode, usize)> = Vec::new();
+    let mut shard_nodes = Vec::new();
+    let mut replication_delays = Vec::new();
+    for shard in 0..config.num_shards {
+        let delay = config.replication_delay(shard, net);
+        replication_delays.push(delay);
+        shard_nodes.push(nodes.len());
+        nodes.push((
+            SpannerNode::Shard(Box::new(ShardNode::new(config, shard, delay))),
+            config.leader_regions[shard],
+        ));
+    }
+    for c in clients {
+        let cfg =
+            client_config(config, net, c.region, shard_nodes.clone(), replication_delays.clone());
+        let runner =
+            SessionRunner::new(SpannerService::new(cfg), c.sessions, stop_issuing_at, c.workload);
+        nodes.push((SpannerNode::Client(Box::new(runner)), c.region));
+    }
+    nodes
+}
+
 /// Builds and runs a cluster, returning the collected results.
 ///
 /// # Panics
@@ -173,31 +208,12 @@ pub fn run_cluster(spec: ClusterSpec) -> RunResult {
     if !config.faults.is_empty() {
         engine.install_faults(config.faults.clone());
     }
-
-    // Shards first (node ids 0..num_shards).
-    let mut shard_nodes = Vec::new();
-    let mut replication_delays = Vec::new();
-    for shard in 0..config.num_shards {
-        let delay = config.replication_delay(shard, &net);
-        replication_delays.push(delay);
-        let node = SpannerNode::Shard(Box::new(ShardNode::new(&config, shard, delay)));
-        let id =
-            engine.add_node_with(node, config.leader_regions[shard], config.shard_service_time);
-        shard_nodes.push(id);
-    }
-    // Then clients.
-    let mut client_ids = Vec::new();
-    for c in clients {
-        let cfg =
-            client_config(&config, &net, c.region, shard_nodes.clone(), replication_delays.clone());
-        let runner =
-            SessionRunner::new(SpannerService::new(cfg), c.sessions, stop_issuing_at, c.workload);
-        let id = engine.add_node_with(
-            SpannerNode::Client(Box::new(runner)),
-            c.region,
-            config.client_service_time,
-        );
-        client_ids.push(id);
+    for (node, region) in build_spanner_nodes(&config, &net, clients, stop_issuing_at) {
+        let service_time = match node {
+            SpannerNode::Shard(_) => config.shard_service_time,
+            SpannerNode::Client(_) => config.client_service_time,
+        };
+        engine.add_node_with(node, region, service_time);
     }
 
     let finished_at = engine.run();
@@ -208,7 +224,7 @@ pub fn run_cluster(spec: ClusterSpec) -> RunResult {
     let mut completed = Vec::new();
     let mut client_stats = ClientStats::default();
     let mut window_count = 0u64;
-    for &id in &client_ids {
+    for id in config.num_shards..engine.num_nodes() {
         if let SpannerNode::Client(c) = engine.node(id) {
             for txn in &c.completed {
                 if txn.finish >= measure_from && !txn.orphan && !txn.kind.is_fence() {
@@ -236,7 +252,7 @@ pub fn run_cluster(spec: ClusterSpec) -> RunResult {
     let mut shard_stats = Vec::new();
     let mut storage = StorageSummary::default();
     let mut shard_stores = Vec::new();
-    for &id in &shard_nodes {
+    for id in 0..config.num_shards {
         if let SpannerNode::Shard(s) = engine.node(id) {
             shard_stats.push(s.stats);
             storage.add_wal(&s.wal_stats());

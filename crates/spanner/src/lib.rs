@@ -59,8 +59,9 @@ pub mod prelude {
     pub use crate::client::{ClientConfig, ClientStats, SpannerService};
     pub use crate::config::{Mode, SpannerConfig};
     pub use crate::harness::{
-        build_history, build_history_from, client_config, record_with_witness_keys, run_cluster,
-        verify_run, ClientSpec, ClusterSpec, RunResult, SpannerClient, SpannerNode,
+        build_history, build_history_from, build_spanner_nodes, client_config,
+        record_with_witness_keys, run_cluster, verify_run, ClientSpec, ClusterSpec, RunResult,
+        SpannerClient, SpannerNode,
     };
     pub use crate::messages::{SpannerMsg, TxnId};
     pub use crate::shard::ShardNode;

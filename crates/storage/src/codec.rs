@@ -34,6 +34,27 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
+/// Bytes in a frame header: `[len u32 LE][crc32(payload) u32 LE]`, the
+/// framing shared by WAL segments and the live plane's socket streams.
+pub const FRAME_HEADER: usize = 8;
+
+/// The header of the frame that carries `payload`.
+pub fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// Splits a frame header into the payload length and the payload's
+/// expected CRC. Bounding the length is the caller's job: what counts as
+/// absurd differs between a log record and a socket frame.
+pub fn parse_frame_header(header: &[u8; FRAME_HEADER]) -> (usize, u32) {
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    (len as usize, crc)
+}
+
 /// Append-only encoder.
 #[derive(Default)]
 pub struct Enc {
@@ -161,6 +182,12 @@ mod tests {
         assert_eq!(d.u64(), Some(u64::MAX));
         assert_eq!(d.bytes(), Some(&b"hello"[..]));
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn frame_header_round_trips() {
+        let header = frame_header(b"payload");
+        assert_eq!(parse_frame_header(&header), (7, crc32(b"payload")));
     }
 
     #[test]

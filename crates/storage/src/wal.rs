@@ -30,7 +30,7 @@
 //! segment, so a crash can tear the log's tail but never its middle, and the
 //! replayed records are always an exact prefix of what was appended.
 
-use crate::codec::crc32;
+use crate::codec::{crc32, frame_header, parse_frame_header, FRAME_HEADER};
 use crate::device::{DirDisk, NodeDisk};
 use crate::pool::{BufferPool, PAGE_SIZE};
 use crate::{Backing, WalOptions};
@@ -41,7 +41,6 @@ const MAX_RECORD: u32 = 16 * 1024 * 1024;
 /// Pages reserved per snapshot area (16 MiB each).
 const MAX_SNAPSHOT_PAGES: u64 = 4096;
 const META_MAGIC: u32 = 0x5253_574C; // "RSWL"
-const FRAME_HEADER: usize = 8;
 
 /// Per-WAL counters; aggregated across nodes into
 /// [`crate::StorageSummary`].
@@ -165,8 +164,7 @@ impl Wal {
             self.disk.create_segment(self.cur_segment);
         }
         let mut frame = Vec::with_capacity(frame_len);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(&frame_header(payload));
         frame.extend_from_slice(payload);
         self.disk.append_segment(self.cur_segment, &frame);
         self.cur_len += frame_len as u64;
@@ -390,10 +388,9 @@ fn scan(disk: &mut NodeDisk, repair: bool) -> (RecoveredLog, ScanEnd) {
                 }
                 break;
             }
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            let payload_end = off + FRAME_HEADER + len as usize;
-            if len > MAX_RECORD || payload_end > data.len() {
+            let (len, crc) = parse_frame_header(data[off..off + FRAME_HEADER].try_into().unwrap());
+            let payload_end = off + FRAME_HEADER + len;
+            if len > MAX_RECORD as usize || payload_end > data.len() {
                 torn_bytes += (data.len() - off) as u64;
                 stopped = true;
                 break;

@@ -302,109 +302,156 @@ impl ComposedOutcome {
     }
 }
 
+/// The composed deployment's configs and node graph — one builder for both
+/// planes, so a fault script names the same victims on each.
+struct ComposedGraph {
+    spanner: SpannerConfig,
+    gryff: GryffConfig,
+    net: LatencyMatrix,
+    stop_issuing_at: SimTime,
+    /// `(node, region)` in node-id order: Spanner shards `0..3`, Gryff
+    /// replicas `3..8`, composed app runners from 8 on.
+    nodes: Vec<(DuoNode, usize)>,
+}
+
+impl ComposedGraph {
+    fn build(seed: u64, config: &ComposedRunConfig) -> ComposedGraph {
+        let mut spanner = SpannerConfig::wan(SpannerMode::SpannerRss);
+        let mut gryff = GryffConfig::wan(regular_gryff::config::Mode::GryffRsc);
+        spanner.op_timeout = config.op_timeout;
+        gryff.op_timeout = config.op_timeout;
+        spanner.durability = config.durability.clone();
+        gryff.durability = config.durability.clone();
+        assert!(
+            config.faults.is_empty() || config.op_timeout.is_some(),
+            "fault schedules need a client operation timeout, or lanes whose \
+             requests are lost stall forever"
+        );
+        // Both topologies use regions 0..=4 of the Gryff WAN matrix; the
+        // Spanner store's three leaders sit in regions 0/1/2.
+        let net = LatencyMatrix::gryff_wan();
+        let stop_issuing_at = SimTime::from_secs(config.duration_secs);
+
+        let mut nodes: Vec<(DuoNode, usize)> = Vec::new();
+        let mut shard_nodes = Vec::new();
+        let mut replication_delays = Vec::new();
+        for shard in 0..spanner.num_shards {
+            let delay = spanner.replication_delay(shard, &net);
+            replication_delays.push(delay);
+            shard_nodes.push(nodes.len());
+            nodes.push((
+                DuoNode::SpannerShard(Embedded::new(ShardNode::new(&spanner, shard, delay))),
+                spanner.leader_regions[shard],
+            ));
+        }
+        // Each replica must know the group's node-id base for its rmw
+        // coordination rounds.
+        let replica_base = nodes.len();
+        let replica_nodes: Vec<NodeId> =
+            (replica_base..replica_base + gryff.num_replicas).collect();
+        for i in 0..gryff.num_replicas {
+            let replica = GryffReplica::new(&gryff, i).with_first_node(replica_base);
+            nodes.push((DuoNode::GryffReplica(Embedded::new(replica)), gryff.replica_regions[i]));
+        }
+        // Composed app nodes: each drives sessions hopping between both stores.
+        for i in 0..config.num_apps {
+            let region = i % 3;
+            let s_core = SpannerService::new(regular_spanner::client_config(
+                &spanner,
+                &net,
+                region,
+                shard_nodes.clone(),
+                replication_delays.clone(),
+            ))
+            .with_service_id(SPANNER_SERVICE);
+            let g_core =
+                GryffService::new(regular_gryff::client_config(&gryff, replica_nodes.clone()))
+                    .with_service_id(GRYFF_SERVICE);
+            let services: Vec<Box<dyn Service<Msg = DuoMsg>>> = vec![
+                Box::new(MappedService::with_tag_namespace(s_core, 0, 2)),
+                Box::new(MappedService::with_tag_namespace(g_core, 1, 2)),
+            ];
+            let workload: Box<dyn MultiServiceWorkload> = match config.workload {
+                ComposedWorkload::RoundRobin => Box::new(RoundRobinWorkload::new(
+                    vec![
+                        Box::new(UniformWorkload {
+                            num_keys: 60,
+                            ro_fraction: 0.5,
+                            keys_per_txn: 2,
+                        }) as Box<dyn SessionWorkload>,
+                        Box::new(ConflictWorkload::ycsb(0.5, 0.4, seed.wrapping_add(i as u64)))
+                            as Box<dyn SessionWorkload>,
+                    ],
+                    config.ops_per_service,
+                )),
+                ComposedWorkload::PhotoApp => Box::new(PhotoSharingWorkload::default()),
+            };
+            let mut runner = ComposedRunner::new(
+                services,
+                SessionConfig::closed_loop(2, SimDuration::ZERO)
+                    .with_batch(config.batch)
+                    .with_workload_seed(seed.wrapping_mul(31).wrapping_add(i as u64)),
+                stop_issuing_at,
+                workload,
+            );
+            if let Some(every) = config.handoff_every {
+                runner = runner.with_context_handoff(every);
+            }
+            nodes.push((DuoNode::App(runner), region));
+        }
+        ComposedGraph { spanner, gryff, net, stop_issuing_at, nodes }
+    }
+}
+
+/// Collects a finished composed run's per-app results and WAL counters from
+/// its nodes in id order; `completed` hands over each app's completions.
+fn collect_outcome<'a>(
+    nodes: impl Iterator<Item = &'a DuoNode>,
+    mut completed: impl FnMut(NodeId, &ComposedRunner<DuoMsg>) -> Vec<(usize, CompletedRecord)>,
+    net_stats: MessageStats,
+) -> ComposedOutcome {
+    let mut apps = Vec::new();
+    let mut storage = StorageSummary::default();
+    for (id, node) in nodes.enumerate() {
+        match node {
+            DuoNode::SpannerShard(s) => storage.add_wal(&s.inner.wal_stats()),
+            DuoNode::GryffReplica(r) => storage.add_wal(&r.inner.wal_stats()),
+            DuoNode::App(runner) => apps.push(AppResult {
+                node: id,
+                completed: completed(id, runner),
+                auto_fences: runner.fence_stats().executed,
+                handoffs: runner.handoffs.clone(),
+                contexts_imported: runner.stats.contexts_imported,
+            }),
+        }
+    }
+    ComposedOutcome { apps, net_stats, storage }
+}
+
 /// Runs the composite deployment: 3 Spanner-RSS shards + 5 Gryff-RSC
 /// replicas, `config.num_apps` composed client nodes whose sessions
 /// alternate between the two stores every `config.ops_per_service`
 /// operations. Deterministic for a fixed `(seed, config)`.
 pub fn run_composed(seed: u64, config: &ComposedRunConfig) -> ComposedOutcome {
-    let mut spanner_cfg = SpannerConfig::wan(SpannerMode::SpannerRss);
-    let mut gryff_cfg = GryffConfig::wan(regular_gryff::config::Mode::GryffRsc);
-    spanner_cfg.op_timeout = config.op_timeout;
-    gryff_cfg.op_timeout = config.op_timeout;
-    spanner_cfg.durability = config.durability.clone();
-    gryff_cfg.durability = config.durability.clone();
-    assert!(
-        config.faults.is_empty() || config.op_timeout.is_some(),
-        "fault schedules need a client operation timeout, or lanes whose \
-         requests are lost stall forever"
-    );
-    // Both topologies use regions 0..=4 of the Gryff WAN matrix; the Spanner
-    // stores' three leaders sit in regions 0/1/2.
-    let net = LatencyMatrix::gryff_wan();
-    let stop_issuing_at = SimTime::from_secs(config.duration_secs);
+    let ComposedGraph { spanner, gryff, net, stop_issuing_at, nodes } =
+        ComposedGraph::build(seed, config);
     let engine_cfg = EngineConfig {
-        default_service_time: spanner_cfg.shard_service_time,
+        default_service_time: spanner.shard_service_time,
         max_time: stop_issuing_at + SimDuration::from_secs(config.drain_secs),
-        truetime_epsilon: spanner_cfg.truetime_epsilon,
+        truetime_epsilon: spanner.truetime_epsilon,
         queue: config.queue_kind,
     };
-    let mut engine: Engine<DuoMsg, DuoNode> = Engine::new(engine_cfg, net.clone(), seed);
+    let mut engine: Engine<DuoMsg, DuoNode> = Engine::new(engine_cfg, net, seed);
     if !config.faults.is_empty() {
         engine.install_faults(config.faults.clone());
     }
-
-    // Spanner shards.
-    let mut shard_nodes = Vec::new();
-    let mut replication_delays = Vec::new();
-    for shard in 0..spanner_cfg.num_shards {
-        let delay = spanner_cfg.replication_delay(shard, &net);
-        replication_delays.push(delay);
-        let id = engine.add_node_with(
-            DuoNode::SpannerShard(Embedded::new(ShardNode::new(&spanner_cfg, shard, delay))),
-            spanner_cfg.leader_regions[shard],
-            spanner_cfg.shard_service_time,
-        );
-        shard_nodes.push(id);
-    }
-    // Gryff replicas, at node ids num_shards..num_shards+num_replicas: each
-    // replica must know the group's node-id base for its rmw coordination
-    // rounds.
-    let replica_base = engine.num_nodes();
-    let mut replica_nodes = Vec::new();
-    for i in 0..gryff_cfg.num_replicas {
-        let replica = GryffReplica::new(&gryff_cfg, i).with_first_node(replica_base);
-        let id = engine.add_node_with(
-            DuoNode::GryffReplica(Embedded::new(replica)),
-            gryff_cfg.replica_regions[i],
-            gryff_cfg.replica_service_time,
-        );
-        replica_nodes.push(id);
-    }
-    // Composed app nodes: each drives sessions hopping between both stores.
-    let mut app_ids = Vec::new();
-    for i in 0..config.num_apps {
-        let region = i % 3;
-        let s_core = SpannerService::new(regular_spanner::client_config(
-            &spanner_cfg,
-            &net,
-            region,
-            shard_nodes.clone(),
-            replication_delays.clone(),
-        ))
-        .with_service_id(SPANNER_SERVICE);
-        let g_core =
-            GryffService::new(regular_gryff::client_config(&gryff_cfg, replica_nodes.clone()))
-                .with_service_id(GRYFF_SERVICE);
-        let services: Vec<Box<dyn Service<Msg = DuoMsg>>> = vec![
-            Box::new(MappedService::with_tag_namespace(s_core, 0, 2)),
-            Box::new(MappedService::with_tag_namespace(g_core, 1, 2)),
-        ];
-        let workload: Box<dyn MultiServiceWorkload> = match config.workload {
-            ComposedWorkload::RoundRobin => Box::new(RoundRobinWorkload::new(
-                vec![
-                    Box::new(UniformWorkload { num_keys: 60, ro_fraction: 0.5, keys_per_txn: 2 })
-                        as Box<dyn SessionWorkload>,
-                    Box::new(ConflictWorkload::ycsb(0.5, 0.4, seed.wrapping_add(i as u64)))
-                        as Box<dyn SessionWorkload>,
-                ],
-                config.ops_per_service,
-            )),
-            ComposedWorkload::PhotoApp => Box::new(PhotoSharingWorkload::default()),
+    for (node, region) in nodes {
+        let service_time = match node {
+            DuoNode::SpannerShard(_) => spanner.shard_service_time,
+            DuoNode::GryffReplica(_) => gryff.replica_service_time,
+            DuoNode::App(_) => spanner.client_service_time,
         };
-        let mut runner = ComposedRunner::new(
-            services,
-            SessionConfig::closed_loop(2, SimDuration::ZERO)
-                .with_batch(config.batch)
-                .with_workload_seed(seed.wrapping_mul(31).wrapping_add(i as u64)),
-            stop_issuing_at,
-            workload,
-        );
-        if let Some(every) = config.handoff_every {
-            runner = runner.with_context_handoff(every);
-        }
-        let id =
-            engine.add_node_with(DuoNode::App(runner), region, spanner_cfg.client_service_time);
-        app_ids.push(id);
+        engine.add_node_with(node, region, service_time);
     }
 
     engine.run();
@@ -419,28 +466,7 @@ pub fn run_composed(seed: u64, config: &ComposedRunConfig) -> ComposedOutcome {
         }
     }
 
-    let apps = app_ids
-        .into_iter()
-        .map(|id| match engine.node(id) {
-            DuoNode::App(runner) => AppResult {
-                node: id,
-                completed: runner.completed.clone(),
-                auto_fences: runner.fence_stats().executed,
-                handoffs: runner.handoffs.clone(),
-                contexts_imported: runner.stats.contexts_imported,
-            },
-            _ => unreachable!("app ids point at composed runners"),
-        })
-        .collect();
-    let mut storage = StorageSummary::default();
-    for id in shard_nodes.iter().chain(replica_nodes.iter()) {
-        match engine.node(*id) {
-            DuoNode::SpannerShard(s) => storage.add_wal(&s.inner.wal_stats()),
-            DuoNode::GryffReplica(r) => storage.add_wal(&r.inner.wal_stats()),
-            DuoNode::App(_) => unreachable!("store ids point at protocol nodes"),
-        }
-    }
-    ComposedOutcome { apps, net_stats: engine.message_stats(), storage }
+    collect_outcome(engine.nodes(), |_, runner| runner.completed.clone(), engine.message_stats())
 }
 
 /// The outcome of a live composed run: the per-app results in the exact
@@ -464,99 +490,22 @@ pub struct ComposedLiveRun {
 
 /// [`run_composed`] on the live execution plane: the same node graph of
 /// 3 shards, 5 replicas, and the app runners, but every node is an OS thread
-/// and time is the scaled wall clock. `config.queue_kind` is ignored — there is no event queue to
-/// choose. Live runs are *not* bit-deterministic for a seed; pass
-/// `record_deliveries` to preserve the schedule evidence for artifacts.
+/// and time is the scaled wall clock. `config.queue_kind` is ignored — there
+/// is no event queue to choose. Live runs are *not* bit-deterministic for a
+/// seed; pass `record_deliveries` to preserve the schedule evidence for
+/// artifacts.
 pub fn run_composed_live(
     seed: u64,
     config: &ComposedRunConfig,
     time_scale: u64,
     record_deliveries: bool,
 ) -> ComposedLiveRun {
-    let mut spanner_cfg = SpannerConfig::wan(SpannerMode::SpannerRss);
-    let mut gryff_cfg = GryffConfig::wan(regular_gryff::config::Mode::GryffRsc);
-    spanner_cfg.op_timeout = config.op_timeout;
-    gryff_cfg.op_timeout = config.op_timeout;
-    spanner_cfg.durability = config.durability.clone();
-    gryff_cfg.durability = config.durability.clone();
-    assert!(
-        config.faults.is_empty() || config.op_timeout.is_some(),
-        "fault schedules need a client operation timeout, or lanes whose \
-         requests are lost stall forever"
-    );
-    let net = LatencyMatrix::gryff_wan();
-    let stop_issuing_at = SimTime::from_secs(config.duration_secs);
-
-    // Same node-id layout as `run_composed`: shards, then replicas, then
-    // apps, so fault scripts written against one plane hit the same victims
-    // on the other.
-    let mut nodes: Vec<(DuoNode, usize)> = Vec::new();
-    let mut shard_nodes = Vec::new();
-    let mut replication_delays = Vec::new();
-    for shard in 0..spanner_cfg.num_shards {
-        let delay = spanner_cfg.replication_delay(shard, &net);
-        replication_delays.push(delay);
-        shard_nodes.push(nodes.len());
-        nodes.push((
-            DuoNode::SpannerShard(Embedded::new(ShardNode::new(&spanner_cfg, shard, delay))),
-            spanner_cfg.leader_regions[shard],
-        ));
-    }
-    let replica_base = nodes.len();
-    let mut replica_nodes = Vec::new();
-    for i in 0..gryff_cfg.num_replicas {
-        let replica = GryffReplica::new(&gryff_cfg, i).with_first_node(replica_base);
-        replica_nodes.push(nodes.len());
-        nodes.push((DuoNode::GryffReplica(Embedded::new(replica)), gryff_cfg.replica_regions[i]));
-    }
-    let app_base = nodes.len();
-    for i in 0..config.num_apps {
-        let region = i % 3;
-        let s_core = SpannerService::new(regular_spanner::client_config(
-            &spanner_cfg,
-            &net,
-            region,
-            shard_nodes.clone(),
-            replication_delays.clone(),
-        ))
-        .with_service_id(SPANNER_SERVICE);
-        let g_core =
-            GryffService::new(regular_gryff::client_config(&gryff_cfg, replica_nodes.clone()))
-                .with_service_id(GRYFF_SERVICE);
-        let services: Vec<Box<dyn Service<Msg = DuoMsg>>> = vec![
-            Box::new(MappedService::with_tag_namespace(s_core, 0, 2)),
-            Box::new(MappedService::with_tag_namespace(g_core, 1, 2)),
-        ];
-        let workload: Box<dyn MultiServiceWorkload> = match config.workload {
-            ComposedWorkload::RoundRobin => Box::new(RoundRobinWorkload::new(
-                vec![
-                    Box::new(UniformWorkload { num_keys: 60, ro_fraction: 0.5, keys_per_txn: 2 })
-                        as Box<dyn SessionWorkload>,
-                    Box::new(ConflictWorkload::ycsb(0.5, 0.4, seed.wrapping_add(i as u64)))
-                        as Box<dyn SessionWorkload>,
-                ],
-                config.ops_per_service,
-            )),
-            ComposedWorkload::PhotoApp => Box::new(PhotoSharingWorkload::default()),
-        };
-        let mut runner = ComposedRunner::new(
-            services,
-            SessionConfig::closed_loop(2, SimDuration::ZERO)
-                .with_batch(config.batch)
-                .with_workload_seed(seed.wrapping_mul(31).wrapping_add(i as u64)),
-            stop_issuing_at,
-            workload,
-        );
-        if let Some(every) = config.handoff_every {
-            runner = runner.with_context_handoff(every);
-        }
-        nodes.push((DuoNode::App(runner), region));
-    }
-
+    let ComposedGraph { spanner, net, stop_issuing_at, nodes, .. } =
+        ComposedGraph::build(seed, config);
     let live_cfg = LiveConfig {
         seed,
         faults: config.faults.clone(),
-        truetime_epsilon: spanner_cfg.truetime_epsilon,
+        truetime_epsilon: spanner.truetime_epsilon,
         time_scale,
         stop_at: stop_issuing_at + SimDuration::from_secs(config.drain_secs),
         record_deliveries,
@@ -565,27 +514,8 @@ pub fn run_composed_live(
         run_live_transport(live_cfg, Box::new(net), nodes, config.transport);
     let LiveOutcome { nodes, mut completed, net_stats, deliveries, finished_at, wall, wire } =
         outcome;
-
-    let mut apps = Vec::new();
-    let mut storage = StorageSummary::default();
-    for (id, node) in nodes.into_iter().enumerate() {
-        match node {
-            DuoNode::SpannerShard(s) => storage.add_wal(&s.inner.wal_stats()),
-            DuoNode::GryffReplica(r) => storage.add_wal(&r.inner.wal_stats()),
-            DuoNode::App(runner) => {
-                debug_assert!(id >= app_base, "nodes from app_base on are composed runners");
-                let auto_fences = runner.fence_stats().executed;
-                apps.push(AppResult {
-                    node: id,
-                    completed: std::mem::take(&mut completed[id]),
-                    auto_fences,
-                    handoffs: runner.handoffs,
-                    contexts_imported: runner.stats.contexts_imported,
-                });
-            }
-        }
-    }
-    let outcome = ComposedOutcome { apps, net_stats, storage };
+    let outcome =
+        collect_outcome(nodes.iter(), |id, _| std::mem::take(&mut completed[id]), net_stats);
     let measured = outcome.spanner_ops() + outcome.gryff_ops();
     let wall_secs = wall.as_secs_f64();
     let wall_throughput = if wall_secs > 0.0 { measured as f64 / wall_secs } else { 0.0 };
@@ -633,6 +563,26 @@ pub fn certify_composed(
     run: &ComposedOutcome,
     check_threads: usize,
 ) -> Result<CertifiedComposed, ComposedViolation> {
+    let (history, witness) = composed_history(run);
+    let witness = match witness {
+        Ok(w) => w,
+        Err(reason) => return Err(ComposedViolation { reason, history, witness: Vec::new() }),
+    };
+    let index = HistoryIndex::new(&history);
+    match check_witness_parallel(&history, &index, &witness, WitnessModel::Regular, check_threads) {
+        Ok(()) => Ok(CertifiedComposed { history, witness }),
+        Err(v) => Err(ComposedViolation {
+            reason: format!("combined execution violates RSS: {v:?}"),
+            history,
+            witness,
+        }),
+    }
+}
+
+/// The first half of [`certify_composed`]: the combined history and the
+/// witness assembled from the protocols' hints, or why none exists (a
+/// malformed history, or cyclic constraints).
+pub(crate) fn composed_history(run: &ComposedOutcome) -> (History, Result<Vec<OpId>, String>) {
     let mut recorder = HistoryRecorder::new();
     // Spanner read-write transactions: (ts, finish, op).
     let mut spanner_rw: Vec<(u64, u64, OpId)> = Vec::new();
@@ -741,32 +691,34 @@ pub fn certify_composed(
     }
     let history = recorder.into_history();
     if let Err(e) = history.validate() {
-        return Err(ComposedViolation {
-            reason: format!("combined history is malformed: {e:?}"),
-            history,
-            witness: Vec::new(),
-        });
+        return (history, Err(format!("combined history is malformed: {e:?}")));
     }
-    let witness = match assemble_witness(&history, &edges, WitnessModel::Regular) {
-        Ok(w) => w,
-        Err(e) => {
-            return Err(ComposedViolation {
-                reason: format!(
-                    "combined constraints are cyclic ({} ops unordered): no RSS serialization",
-                    e.unordered
-                ),
-                history,
-                witness: Vec::new(),
-            });
+    let witness = assemble_witness(&history, &edges, WitnessModel::Regular).map_err(|e| {
+        format!(
+            "combined constraints are cyclic ({} ops unordered): no RSS serialization",
+            e.unordered
+        )
+    });
+    (history, witness)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn composed_graph_pins_the_node_ids_fault_scripts_name() {
+        // Fault scripts crash shard `seed % 3` and replica `3 + seed % 5`;
+        // both planes host this one graph, so those ids must hold here.
+        let config = ComposedRunConfig { num_apps: 4, ..ComposedRunConfig::default() };
+        let graph = ComposedGraph::build(1, &config);
+        assert_eq!(graph.nodes.len(), 3 + 5 + 4);
+        for (id, (node, _)) in graph.nodes.iter().enumerate() {
+            match node {
+                DuoNode::SpannerShard(_) => assert!(id < 3, "shard at node {id}"),
+                DuoNode::GryffReplica(_) => assert!((3..8).contains(&id), "replica at node {id}"),
+                DuoNode::App(_) => assert!(id >= 8, "app at node {id}"),
+            }
         }
-    };
-    let index = HistoryIndex::new(&history);
-    match check_witness_parallel(&history, &index, &witness, WitnessModel::Regular, check_threads) {
-        Ok(()) => Ok(CertifiedComposed { history, witness }),
-        Err(v) => Err(ComposedViolation {
-            reason: format!("combined execution violates RSS: {v:?}"),
-            history,
-            witness,
-        }),
     }
 }

@@ -8,10 +8,12 @@
 //!
 //! * [`pool`] — a work-stealing thread pool (vendored `parking_lot` +
 //!   `std::thread::scope`) fanning coarse jobs across cores.
-//! * [`scenario`] — seeded, certified runs of Spanner-RSS, Gryff-RSC, and
-//!   the composed two-store deployment — each also swept under a
-//!   seed-driven fault script (crashes, partitions, drop/duplicate windows
-//!   fired during libRSS service switches); witness checks sharded via
+//! * [`scenario`] — the scenario table ([`SCENARIOS`]) and seeded,
+//!   certified runs of its rows: Spanner-RSS, Gryff-RSC, and the composed
+//!   two-store deployment, on the simulator or the live plane, healthy or
+//!   under a seed-driven fault script (crashes, partitions, drop/duplicate
+//!   windows fired during libRSS service switches), volatile or on WALs;
+//!   witness checks sharded via
 //!   `regular_core::checker::certificate::check_witness_parallel`.
 //! * [`composed`] — the multi-service deployment (extracted from the
 //!   `multi_service` integration test) as a reusable scenario: round-robin
@@ -41,5 +43,8 @@ pub use artifact::FailureArtifact;
 pub use json::Json;
 pub use pool::{PoolStats, WorkStealingPool};
 pub use report::{run_sweep, sweep_to_json, write_json, SweepOptions, SweepResult};
-pub use scenario::{run_seed, run_seed_with, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};
+pub use scenario::{
+    run_seed, run_seed_with, Deployment, Plane, Scenario, ScenarioSpec, SeedReport, SeedRun,
+    LIVE_TIME_SCALE, SCENARIOS,
+};
 pub use stream::{certify_streaming, synthetic_history, StreamStats};

@@ -262,7 +262,7 @@ mod tests {
         // One seed of the two store scenarios on two threads; the composed
         // scenario has its own test in `scenario`.
         let opts = SweepOptions {
-            scenarios: vec![Scenario::SpannerRss, Scenario::GryffRsc],
+            scenarios: ["spanner-rss", "gryff-rsc"].map(|s| Scenario::parse(s).unwrap()).to_vec(),
             seeds: 1,
             base_seed: 7,
             threads: 2,

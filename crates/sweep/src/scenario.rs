@@ -1,29 +1,36 @@
-//! Sweepable scenarios: one seeded, certified simulator run per call.
+//! Sweepable scenarios: one seeded, certified run per call.
 //!
-//! Each scenario builds a deterministic simulation from a seed (the engine
-//! seed *and* the per-node workload RNG streams derive from it via
-//! [`SessionConfig::with_workload_seed`]), runs it, assembles the recorded
-//! history and serialization witness, and certifies the history against the
-//! scenario's consistency model with the sharded certificate checker. A
-//! failure yields a replayable [`FailureArtifact`].
+//! A scenario is a row of [`SCENARIOS`]: a deployment (Spanner-RSS,
+//! Gryff-RSC, or their libRSS composition), the plane that runs it (the
+//! simulator or the live plane), an optional seed-driven fault script,
+//! whether the protocol nodes sit on write-ahead logs, and the run's size.
+//! Every row runs through the same code: the deployment's one node-graph
+//! builder, hosted by the row's plane, then one verdict path that assembles
+//! the recorded history and serialization witness, certifies the history
+//! against the scenario's consistency model, and builds a replayable
+//! [`FailureArtifact`] on failure. On the simulator the engine seed *and*
+//! the per-node workload RNG streams derive from the seed (via
+//! [`SessionConfig::with_workload_seed`]), so a run is reproducible.
 //!
 //! Run sizes are tuned so one seed takes on the order of a hundred
 //! milliseconds: large enough that every history is far past the old 128-op
 //! exact-search ceiling (thousands of operations), small enough that a
 //! 32-seed × 3-scenario sweep finishes in CI minutes on one core.
 
+use std::fmt;
 use std::time::Instant;
 
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness_parallel, WitnessModel};
-use regular_core::history::HistoryIndex;
-use regular_core::ComponentSplit;
+use regular_core::history::{History, HistoryIndex};
+use regular_core::{ComponentSplit, OpId};
 use regular_gryff::prelude as gryff;
 use regular_live::{
-    run_cluster_live, run_gryff_live, DeliveryRecord, GryffLiveSpec, SpannerLiveSpec,
+    run_cluster_live, run_gryff_live, DeliveryRecord, GryffLiveSpec, SpannerLiveSpec, TransportKind,
 };
 use regular_session::{CompletedRecord, SessionConfig, SessionWorkload};
 use regular_sim::fault::{FaultSchedule, LinkScope};
+use regular_sim::metrics::{LatencyRecorder, MessageStats};
 use regular_sim::net::{LatencyMatrix, Region};
 use regular_sim::time::{SimDuration, SimTime};
 use regular_spanner::prelude as spanner;
@@ -31,192 +38,284 @@ use regular_storage::{Durability, StorageRegistry, StorageSummary, WalOptions};
 
 use crate::artifact::{model_name, FailureArtifact};
 use crate::composed::{
-    certify_composed, run_composed, run_composed_live, ComposedRunConfig, ComposedWorkload,
+    composed_history, run_composed, run_composed_live, ComposedRunConfig, ComposedWorkload,
 };
 use crate::stream::certify_streaming;
 
-/// A sweepable scenario.
+/// The system a scenario deploys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
+pub enum Deployment {
     /// Spanner-RSS over the three-region WAN topology; certified RSS.
-    SpannerRss,
+    Spanner,
     /// Gryff-RSC over the five-region WAN topology; certified RSC.
-    GryffRsc,
-    /// The composed Spanner-RSS + Gryff-RSC deployment with libRSS fences;
-    /// the combined history certified RSS.
-    Composed,
-    /// Spanner-RSS under a seed-driven fault script: a shard-leader crash,
-    /// a region partition, and lossy/duplicating windows; still certified
-    /// RSS.
-    SpannerFaults,
-    /// Gryff-RSC under a seed-driven fault script: a replica crash (losing
-    /// an rmw coordinator), a region partition, and lossy windows; still
-    /// certified RSC.
-    GryffFaults,
-    /// The composed deployment driven by the photo-sharing app with
-    /// cross-process causal handoffs, under faults fired *during* service
-    /// switches; the combined history still certified RSS.
-    ComposedFaults,
-    /// Spanner-RSS under asymmetric (one-way) link cuts: requests keep
-    /// arriving while replies vanish, then the reverse direction fails —
-    /// the grey-network failure mode; still certified RSS.
-    SpannerOneWay,
-    /// Spanner-RSS with short shard crashes timed to land inside commit-wait
-    /// windows: prepared transactions lose their coordinator exactly between
-    /// timestamp choice and decision release; still certified RSS.
-    SpannerCommitCrash,
-    /// The `spanner-faults` script with every shard running on a write-ahead
-    /// log (`Durability::Wal`): crashes wipe all volatile state, recovery
-    /// replays snapshot + log tail (seeded torn tails included), group
-    /// commit batches fsyncs — and the history still certifies RSS.
-    SpannerFaultsDurable,
-    /// The `gryff-faults` script with every replica on a write-ahead log;
-    /// still certified RSC.
-    GryffFaultsDurable,
-    /// The `composed-faults` script with both stores' nodes on write-ahead
-    /// logs; the combined history still certified RSS.
-    ComposedFaultsDurable,
-    /// Spanner-RSS on the live execution plane (`regular-live`): every node
-    /// an OS thread, time the scaled wall clock, completions certified RSS
-    /// through the streaming checker. The sweep runs it over the in-process
-    /// mpsc transport; the plane's socket backends (UDS/TCP, including
-    /// multi-process deployments) are exercised by `live_bench --net`.
-    /// Not bit-deterministic; the transport's delivery log rides along in
-    /// failure artifacts.
-    LiveSpannerRss,
-    /// Gryff-RSC on the live execution plane; certified RSC.
-    LiveGryffRsc,
-    /// The composed two-store deployment with libRSS fences on the live
-    /// execution plane; the combined history certified RSS.
-    LiveComposed,
-    /// Spanner-RSS on the live execution plane under the same seed-driven
-    /// fault script as `spanner-faults`, the crash/partition windows
-    /// reinterpreted on scaled wall-clock time; still certified RSS.
-    LiveSpannerFaults,
+    Gryff,
+    /// The composed Spanner-RSS + Gryff-RSC deployment with libRSS fences,
+    /// driven by the given app; the combined history certified RSS.
+    Composed(ComposedWorkload),
+}
+
+/// The execution plane a scenario runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plane {
+    /// The deterministic discrete-event simulator.
+    Sim,
+    /// The live execution plane (`regular-live`): every node an OS thread,
+    /// time the scaled wall clock ([`LIVE_TIME_SCALE`]), completions
+    /// certified online through the streaming checker. Sweeps run it over
+    /// the in-process mpsc transport; the plane's socket backends (UDS/TCP,
+    /// including multi-process deployments) are exercised by
+    /// `live_bench --net`. Not bit-deterministic; the transport's delivery
+    /// log rides along in failure artifacts.
+    Live,
+}
+
+/// One row of the scenario table.
+#[derive(Debug, Clone, Copy)]
+pub struct ScenarioSpec {
+    /// Stable name (used in reports, artifacts, and CLI flags).
+    pub name: &'static str,
+    /// Other names [`Scenario::parse`] accepts.
+    pub aliases: &'static [&'static str],
+    /// The system under test.
+    pub deployment: Deployment,
+    /// The plane that runs it.
+    pub plane: Plane,
+    /// The seed-driven fault script, if any. Clients of a faulty run get the
+    /// standard operation timeout, so lanes whose requests are lost retry.
+    pub faults: Option<fn(u64) -> FaultSchedule>,
+    /// Every protocol node on a write-ahead log ([`Durability::Wal`]):
+    /// crashes wipe all volatile state and recovery replays snapshot + log
+    /// tail (seeded torn tails included) while group commit batches fsyncs.
+    pub durable: bool,
+    /// Approximate completed operations per simulated second at the sweep
+    /// configuration (measured over seed sweeps); translates an `--ops`
+    /// target into a run duration.
+    pub ops_per_sim_sec: f64,
+    /// Simulated seconds of load when no `--ops` target is set.
+    pub default_secs: u64,
+}
+
+const SPANNER_RSS: ScenarioSpec = ScenarioSpec {
+    name: "spanner-rss",
+    aliases: &["spanner", "rss"],
+    deployment: Deployment::Spanner,
+    plane: Plane::Sim,
+    faults: None,
+    durable: false,
+    ops_per_sim_sec: 57.0,
+    default_secs: 45,
+};
+
+const GRYFF_RSC: ScenarioSpec = ScenarioSpec {
+    name: "gryff-rsc",
+    aliases: &["gryff", "rsc"],
+    deployment: Deployment::Gryff,
+    ops_per_sim_sec: 102.0,
+    ..SPANNER_RSS
+};
+
+const COMPOSED: ScenarioSpec = ScenarioSpec {
+    name: "composed",
+    aliases: &["multi-service", "duo"],
+    deployment: Deployment::Composed(ComposedWorkload::RoundRobin),
+    ops_per_sim_sec: 62.0,
+    default_secs: 30,
+    ..SPANNER_RSS
+};
+
+const SPANNER_FAULTS: ScenarioSpec = ScenarioSpec {
+    name: "spanner-faults",
+    aliases: &[],
+    faults: Some(spanner_fault_schedule),
+    ops_per_sim_sec: 48.0,
+    ..SPANNER_RSS
+};
+
+const GRYFF_FAULTS: ScenarioSpec = ScenarioSpec {
+    name: "gryff-faults",
+    aliases: &[],
+    faults: Some(gryff_fault_schedule),
+    ops_per_sim_sec: 97.0,
+    ..GRYFF_RSC
+};
+
+/// The photo-sharing app with cross-process causal handoffs, under faults
+/// fired *during* service switches.
+const COMPOSED_FAULTS: ScenarioSpec = ScenarioSpec {
+    name: "composed-faults",
+    aliases: &["faults", "chaos"],
+    deployment: Deployment::Composed(ComposedWorkload::PhotoApp),
+    faults: Some(composed_fault_schedule),
+    ops_per_sim_sec: 30.0,
+    ..COMPOSED
+};
+
+/// Every row, in sweep order: the simulator rows first (they make up
+/// [`Scenario::ALL`]), then the live rows ([`Scenario::LIVE`]). Live rows
+/// share their simulator twins' configuration, so simulated-time op rates
+/// carry over; the WAL's group-commit window adds only sub-millisecond
+/// latency, so the durable rows track their volatile twins too.
+pub const SCENARIOS: [ScenarioSpec; 15] = [
+    SPANNER_RSS,
+    GRYFF_RSC,
+    COMPOSED,
+    SPANNER_FAULTS,
+    GRYFF_FAULTS,
+    COMPOSED_FAULTS,
+    // Asymmetric (one-way) link cuts: requests keep arriving while replies
+    // vanish, then the reverse direction fails — the grey-network failure
+    // mode.
+    ScenarioSpec {
+        name: "spanner-oneway",
+        aliases: &["oneway", "grey"],
+        faults: Some(spanner_oneway_schedule),
+        ..SPANNER_FAULTS
+    },
+    // Short shard crashes timed to land inside commit-wait windows.
+    ScenarioSpec {
+        name: "spanner-commit-crash",
+        aliases: &["commit-crash"],
+        faults: Some(spanner_commit_crash_schedule),
+        ops_per_sim_sec: 54.0,
+        ..SPANNER_FAULTS
+    },
+    ScenarioSpec {
+        name: "spanner-faults-durable",
+        aliases: &["spanner-durable"],
+        durable: true,
+        ..SPANNER_FAULTS
+    },
+    ScenarioSpec {
+        name: "gryff-faults-durable",
+        aliases: &["gryff-durable"],
+        durable: true,
+        ..GRYFF_FAULTS
+    },
+    ScenarioSpec {
+        name: "composed-faults-durable",
+        aliases: &["composed-durable", "durable"],
+        durable: true,
+        ..COMPOSED_FAULTS
+    },
+    ScenarioSpec {
+        name: "live-spanner-rss",
+        aliases: &["live-spanner"],
+        plane: Plane::Live,
+        ..SPANNER_RSS
+    },
+    ScenarioSpec {
+        name: "live-gryff-rsc",
+        aliases: &["live-gryff"],
+        plane: Plane::Live,
+        ..GRYFF_RSC
+    },
+    ScenarioSpec { name: "live-composed", aliases: &[], plane: Plane::Live, ..COMPOSED },
+    ScenarioSpec {
+        name: "live-spanner-faults",
+        aliases: &["live-faults"],
+        plane: Plane::Live,
+        ..SPANNER_FAULTS
+    },
+];
+
+/// A sweepable scenario: a handle on one row of [`SCENARIOS`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Scenario(usize);
+
+impl fmt::Debug for Scenario {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 impl Scenario {
-    /// Every scenario, in sweep order.
-    pub const ALL: [Scenario; 11] = [
-        Scenario::SpannerRss,
-        Scenario::GryffRsc,
-        Scenario::Composed,
-        Scenario::SpannerFaults,
-        Scenario::GryffFaults,
-        Scenario::ComposedFaults,
-        Scenario::SpannerOneWay,
-        Scenario::SpannerCommitCrash,
-        Scenario::SpannerFaultsDurable,
-        Scenario::GryffFaultsDurable,
-        Scenario::ComposedFaultsDurable,
-    ];
+    /// Every simulator scenario, in sweep order.
+    pub const ALL: [Scenario; 11] = Scenario::on(Plane::Sim);
 
     /// The live-plane scenarios (not part of [`Scenario::ALL`]: live runs
     /// use real threads and scaled wall-clock time, so they are slower per
     /// seed and not bit-deterministic — sweeps opt into them explicitly).
-    pub const LIVE: [Scenario; 4] = [
-        Scenario::LiveSpannerRss,
-        Scenario::LiveGryffRsc,
-        Scenario::LiveComposed,
-        Scenario::LiveSpannerFaults,
-    ];
+    pub const LIVE: [Scenario; 4] = Scenario::on(Plane::Live);
 
-    /// True for scenarios that run on the live execution plane.
-    pub fn is_live(&self) -> bool {
-        matches!(
-            self,
-            Scenario::LiveSpannerRss
-                | Scenario::LiveGryffRsc
-                | Scenario::LiveComposed
-                | Scenario::LiveSpannerFaults
-        )
+    /// The rows on `plane`, in table order; `N` must be their count (a
+    /// mismatch fails to compile).
+    const fn on<const N: usize>(plane: Plane) -> [Scenario; N] {
+        let mut out = [Scenario(0); N];
+        let (mut row, mut n) = (0, 0);
+        while row < SCENARIOS.len() {
+            if SCENARIOS[row].plane as u8 == plane as u8 {
+                out[n] = Scenario(row);
+                n += 1;
+            }
+            row += 1;
+        }
+        assert!(n == N, "row count on the plane");
+        out
+    }
+
+    /// This scenario's row.
+    pub fn spec(&self) -> &'static ScenarioSpec {
+        const TABLE: &[ScenarioSpec] = &SCENARIOS;
+        &TABLE[self.0]
     }
 
     /// Stable scenario name (used in reports, artifacts, and CLI flags).
     pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::SpannerRss => "spanner-rss",
-            Scenario::GryffRsc => "gryff-rsc",
-            Scenario::Composed => "composed",
-            Scenario::SpannerFaults => "spanner-faults",
-            Scenario::GryffFaults => "gryff-faults",
-            Scenario::ComposedFaults => "composed-faults",
-            Scenario::SpannerOneWay => "spanner-oneway",
-            Scenario::SpannerCommitCrash => "spanner-commit-crash",
-            Scenario::SpannerFaultsDurable => "spanner-faults-durable",
-            Scenario::GryffFaultsDurable => "gryff-faults-durable",
-            Scenario::ComposedFaultsDurable => "composed-faults-durable",
-            Scenario::LiveSpannerRss => "live-spanner-rss",
-            Scenario::LiveGryffRsc => "live-gryff-rsc",
-            Scenario::LiveComposed => "live-composed",
-            Scenario::LiveSpannerFaults => "live-spanner-faults",
-        }
+        self.spec().name
     }
 
-    /// Parses a scenario name (the inverse of [`Scenario::name`], with a few
-    /// forgiving aliases).
+    /// Parses a scenario name or alias, case-insensitively (the inverse of
+    /// [`Scenario::name`]).
     pub fn parse(name: &str) -> Option<Scenario> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "spanner-rss" | "spanner" | "rss" => Some(Scenario::SpannerRss),
-            "gryff-rsc" | "gryff" | "rsc" => Some(Scenario::GryffRsc),
-            "composed" | "multi-service" | "duo" => Some(Scenario::Composed),
-            "spanner-faults" => Some(Scenario::SpannerFaults),
-            "gryff-faults" => Some(Scenario::GryffFaults),
-            "composed-faults" | "faults" | "chaos" => Some(Scenario::ComposedFaults),
-            "spanner-oneway" | "oneway" | "grey" => Some(Scenario::SpannerOneWay),
-            "spanner-commit-crash" | "commit-crash" => Some(Scenario::SpannerCommitCrash),
-            "spanner-faults-durable" | "spanner-durable" => Some(Scenario::SpannerFaultsDurable),
-            "gryff-faults-durable" | "gryff-durable" => Some(Scenario::GryffFaultsDurable),
-            "composed-faults-durable" | "composed-durable" | "durable" => {
-                Some(Scenario::ComposedFaultsDurable)
-            }
-            "live-spanner-rss" | "live-spanner" => Some(Scenario::LiveSpannerRss),
-            "live-gryff-rsc" | "live-gryff" => Some(Scenario::LiveGryffRsc),
-            "live-composed" => Some(Scenario::LiveComposed),
-            "live-spanner-faults" | "live-faults" => Some(Scenario::LiveSpannerFaults),
-            _ => None,
-        }
+        let name = name.trim().to_ascii_lowercase();
+        SCENARIOS
+            .iter()
+            .position(|row| row.name == name || row.aliases.contains(&name.as_str()))
+            .map(Scenario)
+    }
+
+    /// True for scenarios that run on the live execution plane.
+    pub fn is_live(&self) -> bool {
+        self.spec().plane == Plane::Live
     }
 
     /// The witness model this scenario is certified against.
     pub fn model(&self) -> WitnessModel {
         WitnessModel::Regular
     }
+}
 
-    /// True for the `*-durable` variants, which run every protocol node on a
-    /// write-ahead log ([`Durability::Wal`]) instead of volatile state.
-    pub fn is_durable(&self) -> bool {
-        matches!(
-            self,
-            Scenario::SpannerFaultsDurable
-                | Scenario::GryffFaultsDurable
-                | Scenario::ComposedFaultsDurable
+impl ScenarioSpec {
+    /// The storage backing the row's protocol nodes. The durable rows use
+    /// deterministic in-process devices, a group-commit window wide enough
+    /// that fsyncs batch under load, segments and checkpoints small enough
+    /// that recovery exercises snapshot-plus-log-tail replay within one
+    /// sweep run, and torn tails seeded from the sweep seed so partial-write
+    /// recovery differs across the corpus.
+    fn durability(&self, seed: u64) -> Durability {
+        if !self.durable {
+            return Durability::InMemory;
+        }
+        Durability::Wal(
+            WalOptions::mem(StorageRegistry::new())
+                .with_group_commit_us(200)
+                .with_segment_bytes(16 * 1024)
+                .with_checkpoint_every(256)
+                .with_torn_tail_seed(seed),
         )
     }
 
-    /// The storage backing this scenario runs its protocol nodes on.
-    fn durability(&self, seed: u64) -> Durability {
-        if self.is_durable() {
-            durable_wal(seed)
-        } else {
-            Durability::InMemory
+    /// The simulated seconds to issue load for: the row default, or the
+    /// duration expected to produce roughly `ops` operations when a target
+    /// is set. Clamped so fault scripts (which fire at fixed seconds) still
+    /// get a sane run, and so a typo cannot request a week of simulated
+    /// time.
+    fn stop_secs(&self, ops: Option<u64>) -> u64 {
+        match ops {
+            None => self.default_secs,
+            Some(target) => ((target as f64 / self.ops_per_sim_sec).ceil() as u64).clamp(5, 20_000),
         }
     }
-}
-
-/// The WAL configuration of the durable fault scenarios: deterministic
-/// in-process devices, a group-commit window wide enough that fsyncs batch
-/// under load, segments and checkpoints small enough that recovery exercises
-/// snapshot-plus-log-tail replay within one sweep run, and torn tails seeded
-/// from the sweep seed so partial-write recovery differs across the corpus.
-fn durable_wal(seed: u64) -> Durability {
-    Durability::Wal(
-        WalOptions::mem(StorageRegistry::new())
-            .with_group_commit_us(200)
-            .with_segment_bytes(16 * 1024)
-            .with_checkpoint_every(256)
-            .with_torn_tail_seed(seed),
-    )
 }
 
 /// Machine-readable outcome of one seeded run.
@@ -269,22 +368,20 @@ pub struct SeedRun {
     pub artifact: Option<FailureArtifact>,
 }
 
-/// Simulated-latency percentiles (p50, p99) in milliseconds over the
-/// non-orphan, non-fence completions.
-fn latency_percentiles<'a>(records: impl Iterator<Item = &'a CompletedRecord>) -> (f64, f64) {
-    let mut micros: Vec<u64> = records
-        .filter(|r| !r.orphan && !r.kind.is_fence())
-        .map(|r| r.latency().as_micros())
-        .collect();
-    if micros.is_empty() {
-        return (0.0, 0.0);
+/// Latency percentiles (p50, p99) in milliseconds, nearest-rank like every
+/// other report ([`LatencyRecorder::percentile`]); zeroes when empty.
+fn percentiles_ms(latencies: &mut LatencyRecorder) -> (f64, f64) {
+    let mut at = |p: f64| latencies.percentile(p).map_or(0.0, |d| d.as_micros() as f64 / 1_000.0);
+    (at(50.0), at(99.0))
+}
+
+/// Latencies of the non-orphan, non-fence completions.
+fn op_latencies<'a>(records: impl Iterator<Item = &'a CompletedRecord>) -> LatencyRecorder {
+    let mut latencies = LatencyRecorder::new();
+    for r in records.filter(|r| !r.orphan && !r.kind.is_fence()) {
+        latencies.record(r.latency());
     }
-    micros.sort_unstable();
-    let at = |q: f64| {
-        let idx = ((micros.len() - 1) as f64 * q).round() as usize;
-        micros[idx] as f64 / 1_000.0
-    };
-    (at(0.50), at(0.99))
+    latencies
 }
 
 /// The client-side operation timeout every fault scenario runs with.
@@ -389,51 +486,32 @@ fn composed_fault_schedule(seed: u64) -> FaultSchedule {
     fault_script(&[(victim_shard, 5, 8), (victim_replica, 11, 14)], cut_region, (16, 18), (20, 25))
 }
 
-/// Approximate completed operations per simulated second of each scenario at
-/// the sweep configuration (measured over seed sweeps); used to translate an
-/// `--ops` target into a run duration.
-fn ops_per_sim_sec(scenario: Scenario) -> f64 {
-    match scenario {
-        Scenario::SpannerRss => 57.0,
-        Scenario::GryffRsc => 102.0,
-        Scenario::Composed => 62.0,
-        Scenario::SpannerFaults => 48.0,
-        Scenario::GryffFaults => 97.0,
-        Scenario::ComposedFaults => 30.0,
-        Scenario::SpannerOneWay => 48.0,
-        Scenario::SpannerCommitCrash => 54.0,
-        // The WAL's group-commit window adds sub-millisecond latency, so the
-        // durable variants track their volatile counterparts.
-        Scenario::SpannerFaultsDurable => 48.0,
-        Scenario::GryffFaultsDurable => 97.0,
-        Scenario::ComposedFaultsDurable => 30.0,
-        // The live plane runs the same configurations, so simulated-time op
-        // rates carry over from the sim counterparts.
-        Scenario::LiveSpannerRss => 57.0,
-        Scenario::LiveGryffRsc => 102.0,
-        Scenario::LiveComposed => 62.0,
-        Scenario::LiveSpannerFaults => 48.0,
-    }
-}
-
 /// Simulated microseconds per wall microsecond for the live sweep
 /// scenarios: 40x compresses a 53-simulated-second Spanner run into ~1.3
 /// wall seconds while keeping even the shortest WAN latency (a few hundred
 /// simulated microseconds) well above the scheduler's wake-up jitter.
 pub const LIVE_TIME_SCALE: u64 = 40;
 
-/// The simulated seconds to issue load for: the scenario default, or the
-/// duration expected to produce roughly `ops` operations when a target is
-/// set. Clamped so fault scripts (which fire at fixed seconds) still get a
-/// sane run, and so a typo cannot request a week of simulated time.
-fn scaled_stop_secs(scenario: Scenario, ops: Option<u64>, default_secs: u64) -> u64 {
-    match ops {
-        None => default_secs,
-        Some(target) => {
-            let secs = (target as f64 / ops_per_sim_sec(scenario)).ceil() as u64;
-            secs.clamp(5, 20_000)
-        }
-    }
+/// Extra simulated time the store deployments drain in-flight operations.
+const DRAIN: SimDuration = SimDuration::from_secs(8);
+
+/// Latency and throughput measurements skip the first simulated second.
+const MEASURE_FROM: SimTime = SimTime::from_secs(1);
+
+/// What one deployment run hands the verdict path, whichever plane ran it.
+struct RunOutput {
+    history: History,
+    /// The protocol's serialization witness, or why none could be assembled.
+    witness: Result<Vec<OpId>, String>,
+    /// Latencies of the history's completions (simulated time).
+    latencies: LatencyRecorder,
+    net: MessageStats,
+    storage: StorageSummary,
+    /// The live transport's delivery log; empty on the simulator.
+    deliveries: Vec<DeliveryRecord>,
+    /// Completions per wall-clock second on the live plane; 0 on the
+    /// simulator.
+    wall_ops_per_sec: f64,
 }
 
 /// Runs one seed of `scenario`, certifying the resulting history with the
@@ -454,324 +532,142 @@ pub fn run_seed_with(
     stream: bool,
 ) -> SeedRun {
     let started = Instant::now();
+    let spec = scenario.spec();
+    let model = scenario.model();
     // Live scenarios always certify through the streaming checker:
     // completions arrive in completion order (there is no global event queue
     // to replay), and the acceptance bar for the plane is *online*
     // certification.
     let stream = stream || scenario.is_live();
-    let mut wall_ops_per_sec = 0.0;
-    let mut deliveries: Vec<DeliveryRecord> = Vec::new();
-    let mut storage = StorageSummary::default();
-    let (history, witness, p50_ms, p99_ms, net, pre_violation) = match scenario {
-        Scenario::SpannerRss
-        | Scenario::SpannerFaults
-        | Scenario::SpannerOneWay
-        | Scenario::SpannerCommitCrash
-        | Scenario::SpannerFaultsDurable => {
-            let faults = match scenario {
-                Scenario::SpannerFaults | Scenario::SpannerFaultsDurable => {
-                    Some(spanner_fault_schedule(seed))
-                }
-                Scenario::SpannerOneWay => Some(spanner_oneway_schedule(seed)),
-                Scenario::SpannerCommitCrash => Some(spanner_commit_crash_schedule(seed)),
-                _ => None,
-            };
-            let result = run_spanner_seed(
-                seed,
-                faults,
-                scenario.durability(seed),
-                scaled_stop_secs(scenario, ops, 45),
-            );
-            storage = result.storage;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let (history, witness) = spanner::build_history(&result);
-            (history, witness, p50, p99, result.net_stats, None)
-        }
-        Scenario::LiveSpannerRss | Scenario::LiveSpannerFaults => {
-            let faults = match scenario {
-                Scenario::LiveSpannerFaults => Some(spanner_fault_schedule(seed)),
-                _ => None,
-            };
-            let result = run_spanner_live_seed(seed, faults, scaled_stop_secs(scenario, ops, 45));
-            wall_ops_per_sec = result.wall_throughput;
-            deliveries = result.deliveries;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let (history, witness) = spanner::build_history_from(&result.completed);
-            (history, witness, p50, p99, result.net_stats, None)
-        }
-        Scenario::LiveGryffRsc => {
-            let result = run_gryff_live_seed(seed, scaled_stop_secs(scenario, ops, 45));
-            wall_ops_per_sec = result.wall_throughput;
-            deliveries = result.deliveries;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let net = result.net_stats;
-            let (history, edges) = gryff::build_history_from(&result.completed);
-            match assemble_witness(&history, &edges, WitnessModel::Regular) {
-                Ok(witness) => (history, witness, p50, p99, net, None),
-                Err(e) => {
-                    let reason = format!(
-                        "carstamp/process-order constraints are cyclic ({} ops unordered)",
-                        e.unordered
-                    );
-                    (history, Vec::new(), p50, p99, net, Some(reason))
-                }
-            }
-        }
-        Scenario::GryffRsc | Scenario::GryffFaults | Scenario::GryffFaultsDurable => {
-            let faults = match scenario {
-                Scenario::GryffFaults | Scenario::GryffFaultsDurable => {
-                    Some(gryff_fault_schedule(seed))
-                }
-                _ => None,
-            };
-            let result = run_gryff_seed(
-                seed,
-                faults,
-                scenario.durability(seed),
-                scaled_stop_secs(scenario, ops, 45),
-            );
-            storage = result.storage;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let net = result.net_stats;
-            let (history, edges) = gryff::build_history(&result);
-            match assemble_witness(&history, &edges, WitnessModel::Regular) {
-                Ok(witness) => (history, witness, p50, p99, net, None),
-                Err(e) => {
-                    let reason = format!(
-                        "carstamp/process-order constraints are cyclic ({} ops unordered)",
-                        e.unordered
-                    );
-                    (history, Vec::new(), p50, p99, net, Some(reason))
-                }
-            }
-        }
-        Scenario::Composed
-        | Scenario::ComposedFaults
-        | Scenario::ComposedFaultsDurable
-        | Scenario::LiveComposed => {
-            let duration_secs = scaled_stop_secs(scenario, ops, 30);
-            let mut config = match scenario {
-                Scenario::ComposedFaults | Scenario::ComposedFaultsDurable => {
-                    composed_faults_seed_config(seed, duration_secs)
-                }
-                _ => composed_seed_config(duration_secs),
-            };
-            config.durability = scenario.durability(seed);
-            let outcome = if scenario.is_live() {
-                let live = run_composed_live(seed, &config, LIVE_TIME_SCALE, true);
-                wall_ops_per_sec = live.wall_throughput;
-                deliveries = live.deliveries;
-                live.outcome
-            } else {
-                run_composed(seed, &config)
-            };
-            let (p50, p99) = latency_percentiles(
-                outcome.apps.iter().flat_map(|a| a.completed.iter().map(|(_, r)| r)),
-            );
-            let net = outcome.net_stats;
-            storage = outcome.storage;
-            let cert_started = Instant::now();
-            let (certified, violation, history_ops, components, peak_window, artifact) =
-                match certify_composed(&outcome, check_threads) {
-                    Ok(ok) => {
-                        let components = ComponentSplit::split(&ok.history).len();
-                        match stream_verdict(&ok.history, &ok.witness, scenario.model(), stream) {
-                            Ok(peak) => (true, None, ok.history.len(), components, peak, None),
-                            Err(reason) => (
-                                false,
-                                Some(reason.clone()),
-                                ok.history.len(),
-                                components,
-                                0,
-                                Some(FailureArtifact {
-                                    scenario: scenario.name().to_string(),
-                                    seed,
-                                    model: scenario.model(),
-                                    violation: reason,
-                                    witness: ok.witness,
-                                    history: ok.history,
-                                    deliveries,
-                                    durability: durability_tag(scenario),
-                                    schedule: None,
-                                    coverage: None,
-                                }),
-                            ),
-                        }
-                    }
-                    Err(v) => (
-                        false,
-                        Some(v.reason.clone()),
-                        v.history.len(),
-                        ComponentSplit::split(&v.history).len(),
-                        0,
-                        Some(FailureArtifact {
-                            scenario: scenario.name().to_string(),
-                            seed,
-                            model: scenario.model(),
-                            violation: v.reason,
-                            witness: v.witness,
-                            history: v.history,
-                            deliveries,
-                            durability: durability_tag(scenario),
-                            schedule: None,
-                            coverage: None,
-                        }),
-                    ),
-                };
-            return SeedRun {
-                report: SeedReport {
-                    scenario: scenario.name(),
-                    seed,
-                    certified,
-                    violation,
-                    history_ops,
-                    p50_ms: p50,
-                    p99_ms: p99,
-                    wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
-                    cert_ms: cert_started.elapsed().as_secs_f64() * 1_000.0,
-                    dropped: net.dropped,
-                    duplicated: net.duplicated,
-                    expired: net.expired,
-                    components,
-                    peak_window,
-                    wall_ops_per_sec,
-                    storage,
-                },
-                artifact,
-            };
-        }
+    let stop_secs = spec.stop_secs(ops);
+    let mut out = match spec.deployment {
+        Deployment::Spanner => run_spanner(spec, seed, stop_secs),
+        Deployment::Gryff => run_gryff(spec, seed, stop_secs),
+        Deployment::Composed(workload) => run_composed_app(spec, workload, seed, stop_secs),
     };
+    let (p50_ms, p99_ms) = percentiles_ms(&mut out.latencies);
 
     let cert_started = Instant::now();
-    let components = ComponentSplit::split(&history).len();
-    let verdict: Result<usize, String> = match pre_violation {
-        Some(reason) => Err(reason),
-        None if stream => stream_verdict(&history, &witness, scenario.model(), true),
-        None => {
-            let index = HistoryIndex::new(&history);
-            check_witness_parallel(&history, &index, &witness, scenario.model(), check_threads)
+    let components = ComponentSplit::split(&out.history).len();
+    let verdict: Result<usize, String> = match &out.witness {
+        Err(reason) => Err(reason.clone()),
+        Ok(witness) if stream => certify_streaming(&out.history, witness, model)
+            .map(|stats| stats.peak_window)
+            .map_err(|v| format!("{} violation (streaming): {v:?}", model_name(model))),
+        Ok(witness) => {
+            let index = HistoryIndex::new(&out.history);
+            check_witness_parallel(&out.history, &index, witness, model, check_threads)
                 .map(|()| 0)
-                .map_err(|v| format!("{} violation: {v:?}", model_name(scenario.model())))
+                .map_err(|v| format!("{} violation: {v:?}", model_name(model)))
         }
     };
-    let cert_ms = cert_started.elapsed().as_secs_f64() * 1_000.0;
-    let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-    let report = |certified: bool, violation: Option<String>, peak_window: usize| SeedReport {
-        scenario: scenario.name(),
+    let report = SeedReport {
+        scenario: spec.name,
         seed,
-        certified,
-        violation,
-        history_ops: history.len(),
+        certified: verdict.is_ok(),
+        violation: verdict.as_ref().err().cloned(),
+        history_ops: out.history.len(),
         p50_ms,
         p99_ms,
-        wall_ms,
-        cert_ms,
-        dropped: net.dropped,
-        duplicated: net.duplicated,
-        expired: net.expired,
+        wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
+        cert_ms: cert_started.elapsed().as_secs_f64() * 1_000.0,
+        dropped: out.net.dropped,
+        duplicated: out.net.duplicated,
+        expired: out.net.expired,
         components,
-        peak_window,
-        wall_ops_per_sec,
-        storage,
+        peak_window: verdict.as_ref().map_or(0, |&peak| peak),
+        wall_ops_per_sec: out.wall_ops_per_sec,
+        storage: out.storage,
     };
-    match verdict {
-        Ok(peak_window) => SeedRun { report: report(true, None, peak_window), artifact: None },
-        Err(reason) => SeedRun {
-            report: report(false, Some(reason.clone()), 0),
-            artifact: Some(FailureArtifact {
-                scenario: scenario.name().to_string(),
+    let artifact = verdict.err().map(|violation| FailureArtifact {
+        scenario: spec.name.to_string(),
+        seed,
+        model,
+        violation,
+        witness: out.witness.unwrap_or_default(),
+        history: out.history,
+        deliveries: out.deliveries,
+        // Omitted from the JSON for volatile rows, keeping pre-storage
+        // artifacts byte-identical.
+        durability: spec.durable.then(|| "wal".to_string()),
+        schedule: None,
+        coverage: None,
+    });
+    SeedRun { report, artifact }
+}
+
+/// The Spanner-RSS sweep deployment on the row's plane: WAN topology, three
+/// client nodes with four closed-loop sessions each, a moderately contended
+/// uniform workload.
+fn run_spanner(spec: &ScenarioSpec, seed: u64, stop_secs: u64) -> RunOutput {
+    let mut config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss)
+        .with_durability(spec.durability(seed));
+    if let Some(faults) = spec.faults {
+        config = config.with_faults(faults(seed), FAULT_OP_TIMEOUT);
+    }
+    let net = LatencyMatrix::spanner_wan();
+    let clients = (0..3)
+        .map(|i| spanner::ClientSpec {
+            region: i % 3,
+            sessions: SessionConfig::closed_loop(4, SimDuration::ZERO)
+                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
+            workload: Box::new(spanner::UniformWorkload {
+                num_keys: 250,
+                ro_fraction: 0.5,
+                keys_per_txn: 2,
+            }) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    let stop_issuing_at = SimTime::from_secs(stop_secs);
+    let (completed, net, storage, deliveries, wall_ops_per_sec) = match spec.plane {
+        Plane::Sim => {
+            let r = spanner::run_cluster(spanner::ClusterSpec {
+                config,
+                net,
                 seed,
-                model: scenario.model(),
-                violation: reason,
-                witness,
-                history,
-                deliveries,
-                durability: durability_tag(scenario),
-                schedule: None,
-                coverage: None,
-            }),
-        },
+                clients,
+                stop_issuing_at,
+                drain: DRAIN,
+                measure_from: MEASURE_FROM,
+            });
+            (r.completed, r.net_stats, r.storage, Vec::new(), 0.0)
+        }
+        Plane::Live => {
+            let r = run_cluster_live(SpannerLiveSpec {
+                config,
+                net,
+                seed,
+                clients,
+                stop_issuing_at,
+                drain: DRAIN,
+                measure_from: MEASURE_FROM,
+                time_scale: LIVE_TIME_SCALE,
+                record_deliveries: true,
+                transport: TransportKind::Mpsc,
+            });
+            (r.completed, r.net_stats, StorageSummary::default(), r.deliveries, r.wall_throughput)
+        }
+    };
+    let (history, witness) = spanner::build_history_from(&completed);
+    RunOutput {
+        history,
+        witness: Ok(witness),
+        latencies: op_latencies(completed.iter().flat_map(|(_, recs)| recs)),
+        net,
+        storage,
+        deliveries,
+        wall_ops_per_sec,
     }
 }
 
-/// The durability tag a failure artifact carries: `Some("wal")` for the
-/// durable scenarios, `None` (omitted from the JSON, keeping pre-storage
-/// artifacts byte-identical) otherwise.
-fn durability_tag(scenario: Scenario) -> Option<String> {
-    scenario.is_durable().then(|| "wal".to_string())
-}
-
-/// The streaming leg of certification: when `stream` is set, runs the
-/// windowed checker over the witness and returns the reorder buffer's peak
-/// depth; otherwise a no-op. The verdict is equivalent to the batch check.
-fn stream_verdict(
-    history: &regular_core::History,
-    witness: &[regular_core::OpId],
-    model: WitnessModel,
-    stream: bool,
-) -> Result<usize, String> {
-    if !stream {
-        return Ok(0);
-    }
-    certify_streaming(history, witness, model)
-        .map(|stats| stats.peak_window)
-        .map_err(|v| format!("{} violation (streaming): {v:?}", model_name(model)))
-}
-
-/// Spanner-RSS sweep configuration: WAN topology, three client nodes with
-/// two closed-loop sessions each, moderately contended uniform workload.
-/// With a fault schedule, clients run with the standard operation timeout.
-fn run_spanner_seed(
-    seed: u64,
-    faults: Option<FaultSchedule>,
-    durability: Durability,
-    stop_secs: u64,
-) -> spanner::RunResult {
+/// The Gryff-RSC sweep deployment on the row's plane: five-region WAN, one
+/// client per region with three closed-loop sessions, a conflict-heavy YCSB
+/// mix. The witness is assembled from the carstamp chains and process order.
+fn run_gryff(spec: &ScenarioSpec, seed: u64, stop_secs: u64) -> RunOutput {
     let mut config =
-        spanner::SpannerConfig::wan(spanner::Mode::SpannerRss).with_durability(durability);
-    if let Some(faults) = faults {
-        config = config.with_faults(faults, FAULT_OP_TIMEOUT);
-    }
-    let net = LatencyMatrix::spanner_wan();
-    let clients = (0..3)
-        .map(|i| spanner::ClientSpec {
-            region: i % 3,
-            sessions: SessionConfig::closed_loop(4, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
-            workload: Box::new(spanner::UniformWorkload {
-                num_keys: 250,
-                ro_fraction: 0.5,
-                keys_per_txn: 2,
-            }) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    spanner::run_cluster(spanner::ClusterSpec {
-        config,
-        net,
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-    })
-}
-
-/// Gryff-RSC sweep configuration: five-region WAN, one client per region
-/// with two closed-loop sessions, conflict-heavy YCSB mix. With a fault
-/// schedule, clients run with the standard operation timeout.
-fn run_gryff_seed(
-    seed: u64,
-    faults: Option<FaultSchedule>,
-    durability: Durability,
-    stop_secs: u64,
-) -> gryff::GryffRunResult {
-    let mut config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(durability);
-    if let Some(faults) = faults {
-        config = config.with_faults(faults, FAULT_OP_TIMEOUT);
+        gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(spec.durability(seed));
+    if let Some(faults) = spec.faults {
+        config = config.with_faults(faults(seed), FAULT_OP_TIMEOUT);
     }
     let net = LatencyMatrix::gryff_wan();
     let clients = (0..5)
@@ -786,115 +682,95 @@ fn run_gryff_seed(
             )) as Box<dyn SessionWorkload>,
         })
         .collect();
-    gryff::run_gryff(gryff::GryffClusterSpec {
-        config,
+    let stop_issuing_at = SimTime::from_secs(stop_secs);
+    let (completed, net, storage, deliveries, wall_ops_per_sec) = match spec.plane {
+        Plane::Sim => {
+            let r = gryff::run_gryff(gryff::GryffClusterSpec {
+                config,
+                net,
+                seed,
+                clients,
+                stop_issuing_at,
+                drain: DRAIN,
+                measure_from: MEASURE_FROM,
+            });
+            (r.completed, r.net_stats, r.storage, Vec::new(), 0.0)
+        }
+        Plane::Live => {
+            let r = run_gryff_live(GryffLiveSpec {
+                config,
+                net,
+                seed,
+                clients,
+                stop_issuing_at,
+                drain: DRAIN,
+                measure_from: MEASURE_FROM,
+                time_scale: LIVE_TIME_SCALE,
+                record_deliveries: true,
+                transport: TransportKind::Mpsc,
+            });
+            (r.completed, r.net_stats, StorageSummary::default(), r.deliveries, r.wall_throughput)
+        }
+    };
+    let (history, edges) = gryff::build_history_from(&completed);
+    let witness = assemble_witness(&history, &edges, WitnessModel::Regular).map_err(|e| {
+        format!("carstamp/process-order constraints are cyclic ({} ops unordered)", e.unordered)
+    });
+    RunOutput {
+        history,
+        witness,
+        latencies: op_latencies(completed.iter().flat_map(|(_, recs)| recs)),
         net,
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-    })
+        storage,
+        deliveries,
+        wall_ops_per_sec,
+    }
 }
 
-/// The sweep configuration of [`run_spanner_seed`], deployed on the live
-/// execution plane (same topology, workload, and per-client workload seeds;
-/// real threads and the scaled wall clock instead of the event queue).
-fn run_spanner_live_seed(
+/// The composed sweep deployment on the row's plane (smaller than the
+/// integration test's, to keep per-seed cost down). The photo-sharing app
+/// switches services on every step and exports a cross-process causal
+/// context every 8 completed batches.
+fn run_composed_app(
+    spec: &ScenarioSpec,
+    workload: ComposedWorkload,
     seed: u64,
-    faults: Option<FaultSchedule>,
-    stop_secs: u64,
-) -> regular_live::SpannerLiveResult {
-    let mut config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss);
-    if let Some(faults) = faults {
-        config = config.with_faults(faults, FAULT_OP_TIMEOUT);
-    }
-    let net = LatencyMatrix::spanner_wan();
-    let clients = (0..3)
-        .map(|i| spanner::ClientSpec {
-            region: i % 3,
-            sessions: SessionConfig::closed_loop(4, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
-            workload: Box::new(spanner::UniformWorkload {
-                num_keys: 250,
-                ro_fraction: 0.5,
-                keys_per_txn: 2,
-            }) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    run_cluster_live(SpannerLiveSpec {
-        config,
-        net,
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: LIVE_TIME_SCALE,
-        record_deliveries: true,
-        transport: regular_live::TransportKind::Mpsc,
-    })
-}
-
-/// The sweep configuration of [`run_gryff_seed`] on the live execution
-/// plane.
-fn run_gryff_live_seed(seed: u64, stop_secs: u64) -> regular_live::GryffLiveResult {
-    let config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc);
-    let net = LatencyMatrix::gryff_wan();
-    let clients = (0..5)
-        .map(|i| gryff::GryffClientSpec {
-            region: i % 5,
-            sessions: SessionConfig::closed_loop(3, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(999_983).wrapping_add(i as u64)),
-            workload: Box::new(gryff::ConflictWorkload::ycsb(
-                0.5,
-                0.25,
-                seed.wrapping_add(i as u64),
-            )) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    run_gryff_live(GryffLiveSpec {
-        config,
-        net,
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: LIVE_TIME_SCALE,
-        record_deliveries: true,
-        transport: regular_live::TransportKind::Mpsc,
-    })
-}
-
-/// Composed sweep configuration (smaller than the integration test's, to
-/// keep per-seed cost down).
-fn composed_seed_config(duration_secs: u64) -> ComposedRunConfig {
-    ComposedRunConfig {
+    duration_secs: u64,
+) -> RunOutput {
+    let photo = workload == ComposedWorkload::PhotoApp;
+    let mut config = ComposedRunConfig {
         num_apps: 3,
-        ops_per_service: 3,
+        ops_per_service: if photo { 1 } else { 3 },
         batch: 2,
         duration_secs,
-        drain_secs: 10,
+        drain_secs: if photo { 12 } else { 10 },
+        workload,
+        handoff_every: photo.then_some(8),
+        durability: spec.durability(seed),
         ..ComposedRunConfig::default()
+    };
+    if let Some(faults) = spec.faults {
+        config.faults = faults(seed);
+        config.op_timeout = Some(FAULT_OP_TIMEOUT);
     }
-}
-
-/// Composed-faults sweep configuration: the photo-sharing app (every step a
-/// fenced service switch), periodic cross-process causal handoffs, and the
-/// seed-driven fault script of [`composed_fault_schedule`].
-fn composed_faults_seed_config(seed: u64, duration_secs: u64) -> ComposedRunConfig {
-    ComposedRunConfig {
-        num_apps: 3,
-        ops_per_service: 1,
-        batch: 2,
-        duration_secs,
-        drain_secs: 12,
-        workload: ComposedWorkload::PhotoApp,
-        faults: composed_fault_schedule(seed),
-        op_timeout: Some(FAULT_OP_TIMEOUT),
-        handoff_every: Some(8),
-        ..ComposedRunConfig::default()
+    let (outcome, deliveries, wall_ops_per_sec) = match spec.plane {
+        Plane::Sim => (run_composed(seed, &config), Vec::new(), 0.0),
+        Plane::Live => {
+            let live = run_composed_live(seed, &config, LIVE_TIME_SCALE, true);
+            (live.outcome, live.deliveries, live.wall_throughput)
+        }
+    };
+    let (history, witness) = composed_history(&outcome);
+    RunOutput {
+        history,
+        witness,
+        latencies: op_latencies(
+            outcome.apps.iter().flat_map(|a| a.completed.iter().map(|(_, r)| r)),
+        ),
+        net: outcome.net_stats,
+        storage: outcome.storage,
+        deliveries,
+        wall_ops_per_sec,
     }
 }
 
@@ -902,21 +778,61 @@ fn composed_faults_seed_config(seed: u64, duration_secs: u64) -> ComposedRunConf
 mod tests {
     use super::*;
 
+    fn named(name: &str) -> Scenario {
+        Scenario::parse(name).unwrap_or_else(|| panic!("no scenario named {name}"))
+    }
+
     #[test]
     fn scenario_names_round_trip() {
-        for s in Scenario::ALL.into_iter().chain(Scenario::LIVE) {
-            assert_eq!(Scenario::parse(s.name()), Some(s));
+        let mut seen = std::collections::HashSet::new();
+        for (row, spec) in SCENARIOS.iter().enumerate() {
+            for name in std::iter::once(&spec.name).chain(spec.aliases) {
+                assert!(seen.insert(*name), "{name} names two rows");
+                assert_eq!(Scenario::parse(name), Some(Scenario(row)), "{name}");
+            }
+            assert_eq!(Scenario(row).name(), spec.name);
         }
-        assert_eq!(Scenario::parse("SPANNER"), Some(Scenario::SpannerRss));
-        assert_eq!(Scenario::parse("chaos"), Some(Scenario::ComposedFaults));
+        assert_eq!(Scenario::parse(" SPANNER "), Some(named("spanner-rss")));
+        assert_eq!(Scenario::parse("chaos"), Some(named("composed-faults")));
         assert_eq!(Scenario::parse("nope"), None);
+        let names = |rows: &[Scenario]| rows.iter().map(|s| s.name()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&Scenario::ALL),
+            [
+                "spanner-rss",
+                "gryff-rsc",
+                "composed",
+                "spanner-faults",
+                "gryff-faults",
+                "composed-faults",
+                "spanner-oneway",
+                "spanner-commit-crash",
+                "spanner-faults-durable",
+                "gryff-faults-durable",
+                "composed-faults-durable",
+            ]
+        );
+        assert_eq!(
+            names(&Scenario::LIVE),
+            ["live-spanner-rss", "live-gryff-rsc", "live-composed", "live-spanner-faults"]
+        );
         assert!(Scenario::LIVE.iter().all(Scenario::is_live));
         assert!(!Scenario::ALL.iter().any(Scenario::is_live));
     }
 
     #[test]
+    fn percentiles_are_nearest_rank() {
+        let mut latencies = LatencyRecorder::new();
+        for ms in [1, 2, 3, 4] {
+            latencies.record(SimDuration::from_millis(ms));
+        }
+        assert_eq!(percentiles_ms(&mut latencies), (2.0, 4.0));
+        assert_eq!(percentiles_ms(&mut LatencyRecorder::new()), (0.0, 0.0));
+    }
+
+    #[test]
     fn ops_target_scales_runs_and_streaming_certifies() {
-        for &scenario in &[Scenario::SpannerRss, Scenario::ComposedFaults] {
+        for scenario in [named("spanner-rss"), named("composed-faults")] {
             let run = run_seed_with(scenario, 7, 2, Some(600), true);
             assert!(
                 run.report.certified,
@@ -953,8 +869,8 @@ mod tests {
                 run.report.history_ops
             );
             assert!(run.report.p99_ms >= run.report.p50_ms);
-            match scenario {
-                Scenario::SpannerFaults | Scenario::GryffFaults | Scenario::ComposedFaults => {
+            match scenario.name() {
+                "spanner-faults" | "gryff-faults" | "composed-faults" => {
                     assert!(
                         run.report.dropped > 0
                             && run.report.duplicated > 0
@@ -971,9 +887,7 @@ mod tests {
                         scenario.name()
                     );
                 }
-                Scenario::SpannerFaultsDurable
-                | Scenario::GryffFaultsDurable
-                | Scenario::ComposedFaultsDurable => {
+                "spanner-faults-durable" | "gryff-faults-durable" | "composed-faults-durable" => {
                     assert!(
                         run.report.dropped > 0 && run.report.expired > 0,
                         "{} fault plane was active: {:?}/{:?}",
@@ -998,7 +912,7 @@ mod tests {
                         s.replayed
                     );
                 }
-                Scenario::SpannerOneWay => {
+                "spanner-oneway" => {
                     assert!(
                         run.report.dropped > 0 && run.report.duplicated > 0,
                         "{} one-way cuts and the lossy window fired: {:?}/{:?}",
@@ -1008,7 +922,7 @@ mod tests {
                     );
                     assert_eq!(run.report.expired, 0, "no node crashes in the one-way scenario");
                 }
-                Scenario::SpannerCommitCrash => {
+                "spanner-commit-crash" => {
                     assert!(
                         run.report.expired > 0,
                         "{} messages expired at the crashed shard: {:?}",

@@ -22,7 +22,7 @@ use regular_seq::sweep::{certify_streaming, run_seed_with, synthetic_history, Sc
 fn main() {
     // A long Spanner-RSS run: ~100k operations of simulated WAN traffic,
     // certified RSS through the windowed streaming checker.
-    let run = run_seed_with(Scenario::SpannerRss, 1, 1, Some(100_000), true);
+    let run = run_seed_with(Scenario::parse("spanner-rss").unwrap(), 1, 1, Some(100_000), true);
     assert!(run.report.certified, "spanner-rss must certify: {:?}", run.report.violation);
     let certify_ops_per_sec = run.report.history_ops as f64 / (run.report.cert_ms / 1_000.0);
     println!("spanner-rss seed 1, scaled to a ~100k-op run:");

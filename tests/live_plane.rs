@@ -146,7 +146,8 @@ fn live_spanner_stress_run_certifies_rss_online() {
 /// history: lost messages cost throughput and retries, never correctness.
 #[test]
 fn live_spanner_run_with_faults_still_certifies() {
-    let run = run_seed_with(Scenario::LiveSpannerFaults, 1, 2, Some(2_000), false);
+    let run =
+        run_seed_with(Scenario::parse("live-spanner-faults").unwrap(), 1, 2, Some(2_000), false);
     assert!(
         run.report.certified,
         "faulted live run must certify, got violation: {:?}",
